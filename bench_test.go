@@ -181,6 +181,10 @@ func BenchmarkSDFence(b *testing.B) {
 	})
 }
 
+// BenchmarkNewCluster measures building a paper-default 4-node cluster,
+// the setup cost every launch pays.
+func BenchmarkNewCluster(b *testing.B) { microbench.NewCluster(b) }
+
 func memSpaceForBench() *mem.Space {
 	return mem.NewSpace(1, 4096, 4096, mem.Interleaved)
 }

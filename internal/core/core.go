@@ -36,7 +36,7 @@ type Config struct {
 	CoresPerSocket int
 
 	// Global memory.
-	MemoryBytes int64      // size of the shared global address space
+	MemoryBytes int64      // capacity of the global address space; pages are allocated on first write
 	PageSize    int        // DSM page size (default 4096)
 	Policy      mem.Policy // home assignment policy
 
@@ -649,7 +649,7 @@ func (c *Cluster) dumpBytes(a mem.Addr, dst []byte) {
 		if seg > len(dst) {
 			seg = len(dst)
 		}
-		copy(dst[:seg], c.Space.HomeBytes(page)[off:off+seg])
+		c.Space.ReadAt(page, off, dst[:seg])
 		dst = dst[seg:]
 		a += mem.Addr(seg)
 	}

@@ -49,6 +49,7 @@ package health
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -451,7 +452,8 @@ func (d *Detector) OnHeal(fn func(node int, at sim.Time)) {
 // Kill crash-stops node at virtual time at during barrier episode ep. It
 // returns true for the first kill of that (node, episode) — the caller that
 // wins performs the volatile-state wipe. Idempotent per episode so every
-// thread of a crashing node may call it.
+// thread of a crashing node may call it. The crashes of one episode are
+// recorded in node order whichever node reaches its safe point first.
 func (d *Detector) Kill(node int, at sim.Time, ep int64) bool {
 	d.mu.Lock()
 	if d.diedEp[node] == ep {
@@ -466,9 +468,18 @@ func (d *Detector) Kill(node int, at sim.Time, ep int64) bool {
 	d.diedAt[node] = at
 	d.diedEp[node] = ep
 	d.live.Add(-1)
-	d.history = append(d.history, Transition{
-		Epoch: d.epoch.Load(), Node: node, Kind: "crash", Episode: ep, At: at,
-	})
+	tr := Transition{Epoch: d.epoch.Load(), Node: node, Kind: "crash", Episode: ep, At: at}
+	// Dying threads reach their safe points in host order. Keep the crashes
+	// of one episode in node order so the history replays on any host.
+	i := len(d.history)
+	for i > 0 {
+		prev := d.history[i-1]
+		if prev.Kind != "crash" || prev.Epoch != tr.Epoch || prev.Episode != ep || prev.Node < node {
+			break
+		}
+		i--
+	}
+	d.history = slices.Insert(d.history, i, tr)
 	cbs := append([]func(int, sim.Time){}, d.onDeath...)
 	d.mu.Unlock()
 	d.fi.NoteCrash()

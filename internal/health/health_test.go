@@ -2,7 +2,9 @@ package health
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"argo/internal/fault"
@@ -145,5 +147,50 @@ func TestTransitionLifecycle(t *testing.T) {
 	}
 	if strings.Count(dec, "(") != strings.Count(h, "(") {
 		t.Fatalf("decision history dropped transitions:\n  full %q\n  decision %q", h, dec)
+	}
+}
+
+// Crashes of one episode are recorded in node order, not in the order the
+// dying threads reach their safe points: the reverse arrival order and a
+// host-scheduled race both yield the same history, and a crash of a later
+// episode stays after them.
+func TestSameEpisodeCrashesReplayInNodeOrder(t *testing.T) {
+	const want = "ep0:crash(n1)@e3/t120 ep0:crash(n3)@e3/t100 ep1:excise(n1)@e3/t200"
+	d := det(4, 1)
+	d.Kill(3, 100, 3)
+	d.Kill(1, 120, 3)
+	d.Excise(1, 200, 3)
+	if got := d.HistoryString(); got != want {
+		t.Fatalf("reverse arrival:\n got %q\nwant %q", got, want)
+	}
+	d.Kill(0, 300, 4)
+	if got := d.HistoryString(); got != want+" ep1:crash(n0)@e4/t300" {
+		t.Fatalf("later-episode crash moved before earlier entries: %q", got)
+	}
+
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const race = "ep0:crash(n1)@e3/t120 ep0:crash(n2)@e3/t100"
+	for run := 0; run < 20; run++ {
+		d := det(4, 1)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, k := range []struct {
+			node int
+			at   int64
+		}{{2, 100}, {1, 120}} {
+			wg.Add(1)
+			go func(node int, at int64) {
+				defer wg.Done()
+				<-start
+				d.Kill(node, at, 3)
+			}(k.node, k.at)
+		}
+		close(start)
+		wg.Wait()
+		if got := d.HistoryString(); got != race {
+			t.Fatalf("run %d: racing crashes recorded as %q, want %q", run, got, race)
+		}
 	}
 }

@@ -9,8 +9,12 @@
 //
 // Functionally, home pages are ordinary byte slices guarded by per-page
 // reader/writer locks, which models the DMA serialization a real NIC
-// provides and keeps concurrent writeback/fetch pairs race-free. All costs
-// are charged through the fabric by the callers (cache/coherence layers).
+// provides and keeps concurrent writeback/fetch pairs race-free. Like the
+// prototype's per-node regions, which the OS commits only on first touch, a
+// home page is allocated the first time it is written; until then it reads
+// as zeros. The capacity is an address range, not a host-memory cost. All
+// costs are charged through the fabric by the callers (cache/coherence
+// layers).
 package mem
 
 import (
@@ -55,7 +59,7 @@ type Space struct {
 
 	pageShift uint // log2(PageSize); PageSize is a power of two
 
-	pages    [][]byte       // per global page, backing storage
+	pages    [][]byte       // per global page, backing storage; nil until first written
 	locks    []sync.RWMutex // per global page
 	cursor   atomic.Int64   // bump allocator
 	capacity int64
@@ -74,7 +78,7 @@ func NewSpace(nodes int, totalBytes int64, pageSize int, policy Policy) *Space {
 	if np == 0 {
 		np = 1
 	}
-	s := &Space{
+	return &Space{
 		PageSize:  pageSize,
 		NPages:    np,
 		Nodes:     nodes,
@@ -84,24 +88,6 @@ func NewSpace(nodes int, totalBytes int64, pageSize int, policy Policy) *Space {
 		locks:     make([]sync.RWMutex, np),
 		capacity:  int64(np) * int64(pageSize),
 	}
-	// One slab per node keeps each node's home pages contiguous in host
-	// memory, like the per-node contributions in the paper's prototype.
-	perNode := make([]int, nodes)
-	for p := 0; p < np; p++ {
-		perNode[s.HomeOf(p)]++
-	}
-	slabs := make([][]byte, nodes)
-	for n := range slabs {
-		slabs[n] = make([]byte, perNode[n]*pageSize)
-	}
-	next := make([]int, nodes)
-	for p := 0; p < np; p++ {
-		h := s.HomeOf(p)
-		off := next[h] * pageSize
-		s.pages[p] = slabs[h][off : off+pageSize : off+pageSize]
-		next[h]++
-	}
-	return s
 }
 
 // Capacity returns the size of the space in bytes.
@@ -168,10 +154,19 @@ func (s *Space) Used() int64 { return s.cursor.Load() }
 // ResetAlloc rewinds the allocator. Only for harnesses reusing a space.
 func (s *Space) ResetAlloc() { s.cursor.Store(0) }
 
-// ReadPage copies page p's home content into dst (len(dst) == PageSize).
-func (s *Space) ReadPage(p int, dst []byte) {
+// ReadPage copies page p's home content into dst (len(dst) == PageSize;
+// a shorter dst receives the page's prefix).
+func (s *Space) ReadPage(p int, dst []byte) { s.ReadAt(p, 0, dst) }
+
+// ReadAt copies page p's home content from byte off on into dst, up to the
+// end of the page. An unwritten page reads as zeros and stays unallocated.
+func (s *Space) ReadAt(p, off int, dst []byte) {
 	s.locks[p].RLock()
-	copy(dst, s.pages[p])
+	if src := s.pages[p]; src != nil {
+		copy(dst, src[off:])
+	} else {
+		clear(dst[:min(len(dst), s.PageSize-off)])
+	}
 	s.locks[p].RUnlock()
 }
 
@@ -181,25 +176,35 @@ func (s *Space) ReadPage(p int, dst []byte) {
 // destination buffer concurrently (it discards the value after its seqlock
 // generation check fails), and atomic stores keep that benign overlap
 // race-detector-clean. dst must be 8-byte aligned with len(dst)%8 == 0; the
-// caller falls back to ReadPage otherwise.
+// caller falls back to ReadPage otherwise. An unwritten page stores zeros.
 func (s *Space) ReadPageWords(p int, dst []byte) {
 	s.locks[p].RLock()
 	src := s.pages[p]
-	n := len(src)
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n := min(s.PageSize, len(dst))
 	for i := 0; i+8 <= n; i += 8 {
-		atomic.StoreUint64((*uint64)(unsafe.Pointer(&dst[i])), binary.LittleEndian.Uint64(src[i:]))
+		var w uint64
+		if src != nil {
+			w = binary.LittleEndian.Uint64(src[i:])
+		}
+		atomic.StoreUint64((*uint64)(unsafe.Pointer(&dst[i])), w)
 	}
 	s.locks[p].RUnlock()
+}
+
+// homeLocked returns page p's backing bytes, allocating them on first
+// touch. The caller holds s.locks[p] for writing.
+func (s *Space) homeLocked(p int) []byte {
+	if s.pages[p] == nil {
+		s.pages[p] = make([]byte, s.PageSize)
+	}
+	return s.pages[p]
 }
 
 // WritePageFull overwrites page p's home content with src. Used for
 // initialization and for the single-writer full-page downgrade optimization.
 func (s *Space) WritePageFull(p int, src []byte) {
 	s.locks[p].Lock()
-	copy(s.pages[p], src)
+	copy(s.homeLocked(p), src)
 	s.locks[p].Unlock()
 }
 
@@ -212,7 +217,7 @@ func (s *Space) WritePageFull(p int, src []byte) {
 func (s *Space) Writeback(p int, data, twin []byte, preferFull func() bool) (tx int, full bool) {
 	s.locks[p].Lock()
 	defer s.locks[p].Unlock()
-	home := s.pages[p]
+	home := s.homeLocked(p)
 	if preferFull != nil && preferFull() {
 		copy(home, data)
 		return len(data), true
@@ -302,7 +307,7 @@ func applyDiffLocked(home, data, twin []byte) int {
 // per contiguous changed run (the diff encoding of Keleher et al.).
 func (s *Space) ApplyDiff(p int, data, twin []byte) int {
 	s.locks[p].Lock()
-	tx := applyDiffLocked(s.pages[p], data, twin)
+	tx := applyDiffLocked(s.homeLocked(p), data, twin)
 	s.locks[p].Unlock()
 	return tx
 }
@@ -313,7 +318,13 @@ func DiffSize(data, twin []byte) int {
 	return forEachDiffRun(data, twin, nil)
 }
 
-// HomeBytes exposes page p's backing slice without locking. It is intended
-// for tests and for building verification snapshots after all simulated
-// threads have quiesced.
-func (s *Space) HomeBytes(p int) []byte { return s.pages[p] }
+// HomeBytes exposes page p's backing slice, allocating it under the page's
+// write lock if it was never written. Accesses through the returned slice
+// are unlocked, so it is intended for zero-cost initialization, tests and
+// verification snapshots taken while no simulated thread runs. Readers that
+// must not allocate use ReadAt.
+func (s *Space) HomeBytes(p int) []byte {
+	s.locks[p].Lock()
+	defer s.locks[p].Unlock()
+	return s.homeLocked(p)
+}

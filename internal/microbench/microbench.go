@@ -127,6 +127,16 @@ func DiffApply(b *testing.B) {
 	}
 }
 
+// NewCluster measures building a paper-default 4-node cluster (64 MiB of
+// global memory) — the setup every launch pays before its first access.
+func NewCluster(b *testing.B) {
+	cfg := argo.DefaultConfig(4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		argo.MustNewCluster(cfg)
+	}
+}
+
 // Fig13bNbody runs the quick n-body figure end to end — one whole
 // experiment per iteration — so the artifact also tracks the access paths'
 // end-to-end effect, not just the isolated hot loops.
@@ -162,6 +172,7 @@ func Rows() []Row {
 		{"BenchmarkBulkRead", BulkRead},
 		{"BenchmarkSIFence", SIFence},
 		{"BenchmarkDiffApply", DiffApply},
+		{"BenchmarkNewCluster", NewCluster},
 		{"BenchmarkFig13bNbody", Fig13bNbody},
 	}
 	rows := make([]Row, 0, len(specs))
