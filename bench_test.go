@@ -93,6 +93,10 @@ func BenchmarkSIFence(b *testing.B) { microbench.SIFence(b) }
 // BenchmarkBulkRead measures streaming bulk reads through the page cache.
 func BenchmarkBulkRead(b *testing.B) { microbench.BulkRead(b) }
 
+// BenchmarkLineRefill measures the bulk refill path: an SI fence drops a
+// 4-page line another node writes, and ReadF64s fetches it again.
+func BenchmarkLineRefill(b *testing.B) { microbench.LineRefill(b) }
+
 // BenchmarkHierBarrier measures the full hierarchical barrier.
 func BenchmarkHierBarrier(b *testing.B) {
 	c := benchCluster(b, 4)
@@ -160,6 +164,11 @@ func BenchmarkDiff(b *testing.B) {
 // (32-byte runs every 256 bytes — the word-wise scan's favourable case,
 // where most of the page is skipped 8 bytes at a time).
 func BenchmarkDiffApply(b *testing.B) { microbench.DiffApply(b) }
+
+// BenchmarkDiffMixedF64 measures diff application for a page of float64s
+// after small relative updates (LU's pattern: nearly every word mixes
+// changed low mantissa bytes with unchanged high bytes).
+func BenchmarkDiffMixedF64(b *testing.B) { microbench.DiffMixedF64(b) }
 
 // BenchmarkSDFence measures a release fence over a spread dirty set: one
 // dirty page per touched line, homes interleaved across 4 nodes — the case

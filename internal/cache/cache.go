@@ -46,12 +46,20 @@ func (s State) String() string {
 
 // Slot holds one cached page. Access only while holding the line lock.
 type Slot struct {
-	Page    int // global page number, or -1
-	St      State
-	Data    []byte   // page content (lazily allocated)
-	Twin    []byte   // pristine copy for diffing; non-nil only while Dirty
-	ReadyAt sim.Time // virtual time at which the content became available
-	WBTries int      // writeback attempts lost so far (Corvus fault identity)
+	Page int // global page number, or -1
+	St   State
+	// Published records that FillTLB has handed the Data buffer to some
+	// thread's TLB, so lock-free fast-path accesses may touch it from now
+	// on. It is set under the line lock, cleared only when EnsureData
+	// allocates a fresh buffer, and sticks with the buffer through
+	// Invalidate, Reset and same-page refills. Refills of a buffer that was
+	// never published need no word-atomic stores (see tlb.go, pillar 2).
+	// It sits in St's padding, so Slot stays 88 bytes on 64-bit hosts.
+	Published bool
+	Data      []byte   // page content (lazily allocated)
+	Twin      []byte   // pristine copy for diffing; non-nil only while Dirty
+	ReadyAt   sim.Time // virtual time at which the content became available
+	WBTries   int      // writeback attempts lost so far (Corvus fault identity)
 
 	// DataPage is the page whose bytes the Data buffer holds. It survives
 	// Invalidate (which keeps Data) so a conflict refill can tell whether it
@@ -94,6 +102,15 @@ type Cache struct {
 	usedMu   sync.Mutex
 	usedSet  []bool
 	usedList []int
+
+	// Spare twins: DropTwin returns a dropped twin here and EnsureTwin
+	// reuses it, so write misses stop allocating once the node has reached
+	// its peak number of simultaneously dirty pages. Guarded by its own
+	// mutex because slots of different lines twin and drop concurrently.
+	// A plain list, not a sync.Pool: the runtime's pool registry would keep
+	// the whole Cache reachable for two GC cycles after its cluster dies.
+	twinMu     sync.Mutex
+	spareTwins [][]byte
 }
 
 // New creates a cache of lines cache lines of pagesPerLine consecutive
@@ -229,23 +246,44 @@ func (c *Cache) SlotsOfLine(l int) []*Slot {
 	return out
 }
 
-// EnsureData makes sure the slot has a data buffer, allocating lazily.
+// EnsureData makes sure the slot has a data buffer, allocating lazily. A
+// fresh buffer starts unpublished.
 func (c *Cache) EnsureData(s *Slot) {
 	if s.Data == nil {
 		s.Data = make([]byte, c.PageSize)
+		s.Published = false
 	}
 }
 
-// EnsureTwin snapshots the slot's current data into its twin buffer.
+// EnsureTwin snapshots the slot's current data into its twin buffer, taking
+// a spare twin before allocating a new one. The caller holds the line lock.
 func (c *Cache) EnsureTwin(s *Slot) {
 	if s.Twin == nil {
-		s.Twin = make([]byte, c.PageSize)
+		c.twinMu.Lock()
+		if k := len(c.spareTwins) - 1; k >= 0 {
+			s.Twin = c.spareTwins[k]
+			c.spareTwins[k] = nil
+			c.spareTwins = c.spareTwins[:k]
+		}
+		c.twinMu.Unlock()
+		if s.Twin == nil {
+			s.Twin = make([]byte, c.PageSize)
+		}
 	}
 	copy(s.Twin, s.Data)
 }
 
-// DropTwin releases the twin (after a writeback made the page clean).
-func (s *Slot) DropTwin() { s.Twin = nil }
+// DropTwin releases the slot's twin (after a downgrade made the page clean)
+// to the spare list for the next write miss. The caller holds the line lock.
+func (c *Cache) DropTwin(s *Slot) {
+	if s.Twin == nil {
+		return
+	}
+	c.twinMu.Lock()
+	c.spareTwins = append(c.spareTwins, s.Twin)
+	c.twinMu.Unlock()
+	s.Twin = nil
+}
 
 // Invalidate empties the slot.
 func (s *Slot) Invalidate() {
@@ -345,8 +383,10 @@ func (c *Cache) Reset() {
 		c.lineLocks[l].Lock()
 		c.BumpLineGen(l)
 		for i := 0; i < c.PagesPerLine; i++ {
-			c.slots[l*c.PagesPerLine+i].Invalidate()
-			c.slots[l*c.PagesPerLine+i].ReadyAt = 0
+			s := &c.slots[l*c.PagesPerLine+i]
+			c.DropTwin(s)
+			s.Invalidate()
+			s.ReadyAt = 0
 		}
 		c.lineLocks[l].Unlock()
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testCache() *Cache { return New(0, 4096, 8, 4, 16) }
@@ -61,11 +62,92 @@ func TestEnsureDataAndTwin(t *testing.T) {
 	if s.Twin[5] != 42 {
 		t.Fatal("twin aliases data")
 	}
-	s.DropTwin()
+	c.DropTwin(s)
 	if s.Twin != nil {
 		t.Fatal("twin not dropped")
 	}
 	c.UnlockLine(0)
+}
+
+// A dropped twin is the next write miss's twin, re-snapshotted from that
+// slot's data.
+func TestDropTwinRecycles(t *testing.T) {
+	c := testCache()
+	c.LockLine(0)
+	a, b := c.SlotFor(0), c.SlotFor(1)
+	c.EnsureData(a)
+	c.EnsureData(b)
+	a.Data[7] = 1
+	b.Data[7] = 2
+	c.EnsureTwin(a)
+	twin := &a.Twin[0]
+	c.DropTwin(a)
+	c.DropTwin(a) // no twin: no-op, nothing pushed twice
+	c.EnsureTwin(b)
+	if &b.Twin[0] != twin {
+		t.Fatal("EnsureTwin allocated instead of reusing the dropped twin")
+	}
+	if b.Twin[7] != 2 {
+		t.Fatalf("recycled twin holds %d, want a snapshot of b's data (2)", b.Twin[7])
+	}
+	c.EnsureTwin(a)
+	if &a.Twin[0] == twin {
+		t.Fatal("one twin handed to two slots")
+	}
+	c.UnlockLine(0)
+}
+
+// Published follows the buffer: FillTLB sets it, Invalidate, Reset and a
+// same-page refill keep it, and only a fresh buffer clears it.
+func TestPublishedLifecycle(t *testing.T) {
+	c := testCache()
+	tb := NewTLB()
+	l := c.LineOf(5)
+	c.LockLine(l)
+	s := c.SlotFor(5)
+	s.Page, s.St = 5, Clean
+	c.EnsureData(s)
+	s.DataPage = 5
+	if s.Published {
+		t.Fatal("fresh buffer is published")
+	}
+	c.FillTLB(tb, l, s)
+	if !s.Published {
+		t.Fatal("FillTLB did not mark the buffer published")
+	}
+	s.Invalidate()
+	if !s.Published {
+		t.Fatal("Invalidate unpublished a buffer a TLB may still name")
+	}
+	s.Page, s.St = 5, Clean // same-page refill reuses the buffer
+	c.EnsureData(s)
+	if !s.Published {
+		t.Fatal("same-page refill unpublished the buffer")
+	}
+	c.UnlockLine(l)
+	c.Reset()
+	c.LockLine(l)
+	if !s.Published || s.Data == nil {
+		t.Fatal("Reset dropped the buffer's published mark")
+	}
+	// Conflict refill: a different page must get a fresh, unpublished buffer.
+	s.Page, s.Data = 5+c.Lines*c.PagesPerLine, nil
+	c.EnsureData(s)
+	if s.Published {
+		t.Fatal("fresh buffer after a conflict refill is published")
+	}
+	c.UnlockLine(l)
+}
+
+// Published must live in St's padding: a larger Slot costs a word per
+// cached page in every cluster.
+func TestSlotSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout guard is for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Slot{}); got != 88 {
+		t.Fatalf("unsafe.Sizeof(Slot{}) = %d, want 88", got)
+	}
 }
 
 func TestWriteBufferFIFO(t *testing.T) {

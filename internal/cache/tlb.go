@@ -21,7 +21,13 @@ package cache
 //     lock-free writes into a live buffer are word-atomic, and a buffer is
 //     never re-bound to a different page (Slot.DataPage), so even a
 //     speculative load through a stale entry reads bytes of the page the
-//     entry named.
+//     entry named. Refills store word-atomically only into a published
+//     buffer (Slot.Published): only a TLB entry lets a thread touch a
+//     buffer without the line lock, and FillTLB sets Published under that
+//     lock. An entry naming the buffer therefore comes from a FillTLB that
+//     follows, in the lock's order, the unlock of every earlier refill.
+//     Until the first FillTLB no lock-free reader can exist, so a refill of
+//     an unpublished buffer is a plain copy with nothing to race against.
 //  3. Active-writer drain. A fast-path dirty write announces itself on the
 //     line's Act counter before validating and retracts after storing.
 //     BumpLineGen spins until Act is zero after bumping, so by the time a
@@ -126,10 +132,11 @@ func WordAligned(b []byte) bool {
 }
 
 // FillTLB publishes slot s of line l into tb after a locked access, so the
-// thread's next accesses to the page can validate lock-free. The caller must
-// hold l's line lock. Slots whose geometry cannot support word-atomic access
-// (page size not a multiple of 8, or an unaligned buffer) are never
-// published, which confines every later access to the locked path.
+// thread's next accesses to the page can validate lock-free, and marks the
+// slot's buffer Published. The caller must hold l's line lock. Slots whose
+// geometry cannot support word-atomic access (page size not a multiple of 8,
+// or an unaligned buffer) are never published, which confines every later
+// access to the locked path.
 func (c *Cache) FillTLB(tb *TLB, l int, s *Slot) {
 	if tb == nil || s.Page < 0 || s.St == Invalid || s.Data == nil {
 		return
@@ -145,4 +152,5 @@ func (c *Cache) FillTLB(tb *TLB, l int, s *Slot) {
 		Data:    s.Data,
 		Sync:    &c.lineSync[l],
 	}
+	s.Published = true
 }

@@ -619,13 +619,13 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	}
 	n.registerBurst(p, regs)
 	n.Fab.LineFetch(p, pages, n.Cache.PageSize, uint64(base))
-	words := n.Cache.PageSize&7 == 0
 	for _, s := range fetched {
-		if words && cache.WordAligned(s.Data) {
+		if s.Published {
 			// Word-atomic refill: concurrent lock-free readers validating
 			// stale TLB entries may load from this buffer (and discard the
 			// value on the generation mismatch); atomic stores keep that
-			// overlap race-free.
+			// overlap race-free. A buffer no TLB was ever handed has no
+			// such readers and refills at memmove speed (cache/tlb.go).
 			n.Space.ReadPageWords(s.Page, s.Data)
 		} else {
 			n.Space.ReadPage(s.Page, s.Data)
@@ -753,7 +753,7 @@ func (n *Node) writebackSlotLocked(p *sim.Proc, s *cache.Slot) bool {
 	}
 	s.St = cache.Clean
 	s.WBTries = 0
-	s.DropTwin()
+	n.Cache.DropTwin(s)
 	return true
 }
 
@@ -790,7 +790,7 @@ func (n *Node) checkpointSlotLocked(p *sim.Proc, s *cache.Slot) {
 	n.ev(p, trace.EvCheckpoint, s.Page, 0)
 	n.Space.WritePageFull(s.Page, s.Data)
 	s.St = cache.Clean
-	s.DropTwin()
+	n.Cache.DropTwin(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -837,6 +837,7 @@ func (n *Node) ResetForPhase() {
 				// same page on other nodes (false sharing during the init
 				// phase) are not clobbered.
 				n.Space.ApplyDiff(s.Page, s.Data, s.Twin)
+				n.Cache.DropTwin(s)
 			}
 			s.Invalidate()
 			s.ReadyAt = 0

@@ -140,7 +140,7 @@ func (n *Node) downgradeSlotLocked(wp *sim.Proc, s *cache.Slot) burstItem {
 	it := burstItem{page: page, home: n.Space.HomeOf(page), tx: tx, attempt: s.WBTries}
 	s.St = cache.Clean
 	s.WBTries = 0
-	s.DropTwin()
+	n.Cache.DropTwin(s)
 	return it
 }
 

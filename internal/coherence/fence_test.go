@@ -175,6 +175,10 @@ func TestEagerDrainerDowngradesInBackground(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		n.pokeDrainer() // belt and braces against a missed wakeup in the test
 	}
+	// WBTake empties the queue before its batch's writebacks run, so the
+	// last batch may still be in flight: StopDrainer waits for it (the
+	// deferred call is then a no-op).
+	n.StopDrainer()
 	for _, pg := range pages {
 		if got, want := r.space.HomeBytes(pg)[0], byte(pg%251)+1; got != want {
 			t.Fatalf("page %d home byte = %d, want %d", pg, got, want)
@@ -184,6 +188,59 @@ func TestEagerDrainerDowngradesInBackground(t *testing.T) {
 	r.nodes[0].SDFence(r.procs[0])
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecycledTwinsNeverShared dirties 200 pages, downgrades half of them
+// (their twins go to the cache's spare list), and dirties 100 more, which
+// must reuse those twins. Every dirty slot still owns a distinct twin, the
+// invariants hold, and the next fence writes every page home intact.
+func TestRecycledTwinsNeverShared(t *testing.T) {
+	r := bigRig(t, Options{Mode: ModePS3}, nil)
+	n := r.nodes[0]
+	pages := manyPages(300)
+	twinOf := func(pg int) *byte {
+		l := n.Cache.LineOf(pg)
+		n.Cache.LockLine(l)
+		defer n.Cache.UnlockLine(l)
+		if s := n.Cache.SlotFor(pg); s.Page == pg && s.St == cache.Dirty {
+			return &s.Twin[0]
+		}
+		return nil
+	}
+	dirtyMany(r, pages[:200])
+	dropped := map[*byte]bool{}
+	for _, pg := range pages[:100] {
+		dropped[twinOf(pg)] = true
+		n.WritebackIfDirty(r.procs[0], pg)
+	}
+	dirtyMany(r, pages[200:])
+	owner := map[*byte]int{}
+	reused := 0
+	for _, pg := range pages[100:] {
+		tw := twinOf(pg)
+		if tw == nil {
+			t.Fatalf("page %d not dirty", pg)
+		}
+		if prev, dup := owner[tw]; dup {
+			t.Fatalf("pages %d and %d share a twin", prev, pg)
+		}
+		owner[tw] = pg
+		if dropped[tw] {
+			reused++
+		}
+	}
+	if reused != 100 {
+		t.Fatalf("%d of 100 new twins were recycled, want all", reused)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	n.SDFence(r.procs[0])
+	for _, pg := range pages {
+		if got, want := r.space.HomeBytes(pg)[0], byte(pg%251)+1; got != want {
+			t.Fatalf("page %d home byte = %d, want %d", pg, got, want)
+		}
 	}
 }
 

@@ -193,6 +193,58 @@ func TestTLBSeqlockConcurrentSameLine(t *testing.T) {
 	}
 }
 
+// TestTLBRefillRacesStaleReaders pins why a published buffer must be
+// refilled word-atomically: under ModeS every SI fence drops the page, and
+// the next access refills it into the same buffer while other threads
+// still load through their stale TLB entries (and discard the value when
+// the generation check fails). Run under -race, a plain-copy refill of a
+// published buffer is reported here.
+func TestTLBRefillRacesStaleReaders(t *testing.T) {
+	r, _ := wordRig(t, Options{Mode: ModeS})
+	const sentinel = 0x0102030405060708
+	addr := mem.Addr(8*4096 + 16)
+	binary.LittleEndian.PutUint64(r.space.HomeBytes(8)[16:], sentinel)
+
+	stop := make(chan struct{})
+	var bad atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := &sim.Proc{Node: 0}
+			tb := cache.NewTLB()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := r.nodes[0].ReadWord(p, tb, addr); got != sentinel {
+					bad.Add(1)
+					return
+				}
+				if i&63 == 63 {
+					runtime.Gosched() // don't starve the fencer on 1-CPU hosts
+				}
+			}
+		}()
+	}
+	fp := &sim.Proc{Node: 0}
+	ftb := cache.NewTLB()
+	for i := 0; i < 256; i++ {
+		r.nodes[0].SIFence(fp)
+		if got := r.nodes[0].ReadWord(fp, ftb, addr); got != sentinel {
+			t.Fatalf("refill %d read %#x, want %#x", i, got, sentinel)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := bad.Load(); n > 0 {
+		t.Fatalf("%d reader(s) observed a corrupt word", n)
+	}
+}
+
 // TestTinyPageSizeStaysOnLockedPath pins the geometry guard: with a page
 // size smaller than a word the TLB is never filled, and word accessors
 // still work through the byte path (including the page-spanning case).
@@ -212,5 +264,48 @@ func TestTinyPageSizeStaysOnLockedPath(t *testing.T) {
 		if e := tb.Entry(i); e.Page >= 0 {
 			t.Fatalf("TLB filled (page %d) despite sub-word page size", e.Page)
 		}
+	}
+}
+
+// TestBulkReadsNeverPublish pins the publish-aware refill: bulk reads
+// (ReadSegs, which backs ReadF64s) never hand a buffer to a TLB, so however
+// often SI fences drop and refill the pages, no slot is ever published and
+// every refill stays a plain copy. One word access then publishes its slot.
+func TestBulkReadsNeverPublish(t *testing.T) {
+	r, tbs := wordRig(t, Options{Mode: ModePS3})
+	const pages = 8
+	// A writer on node 1 makes node 0's copies shared with a writer, so
+	// node 0's SI fences drop them.
+	for pg := 0; pg < pages; pg++ {
+		r.write64(1, mem.Addr(pg*4096), byte(pg+1))
+	}
+	r.nodes[1].SDFence(r.procs[1])
+	n := r.nodes[0]
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
+		n.ReadSegs(r.procs[0], 0, pages*4096, func(off int, data []byte) {
+			if off%4096 == 0 && data[0] != byte(off/4096+1) {
+				t.Fatalf("round %d: page %d reads %d", round, off/4096, data[0])
+			}
+		})
+		n.SIFence(r.procs[0])
+	}
+	if got := n.St.ColdFetches.Load(); got != rounds*pages {
+		t.Fatalf("cold fetches = %d, want %d (every round refills)", got, rounds*pages)
+	}
+	n.Cache.ForEachLine(func(l int, slots []*cache.Slot) {
+		for _, s := range slots {
+			if s.Published {
+				t.Errorf("slot of page %d published by bulk reads alone", s.DataPage)
+			}
+		}
+	})
+	n.ReadWord(r.procs[0], tbs[0], 3*4096)
+	l := n.Cache.LineOf(3)
+	n.Cache.LockLine(l)
+	published := n.Cache.SlotFor(3).Published
+	n.Cache.UnlockLine(l)
+	if !published {
+		t.Fatal("a word read filled the TLB without publishing the slot")
 	}
 }

@@ -452,11 +452,22 @@ func (d *Detector) OnHeal(fn func(node int, at sim.Time)) {
 // Kill crash-stops node at virtual time at during barrier episode ep. It
 // returns true for the first kill of that (node, episode) — the caller that
 // wins performs the volatile-state wipe. Idempotent per episode so every
-// thread of a crashing node may call it. The crashes of one episode are
-// recorded in node order whichever node reaches its safe point first.
+// thread of a crashing node may call it; the crash is dated by the earliest
+// at among those calls, whichever thread the host ran first. The crashes of
+// one episode are recorded in node order whichever node reaches its safe
+// point first.
 func (d *Detector) Kill(node int, at sim.Time, ep int64) bool {
 	d.mu.Lock()
 	if d.diedEp[node] == ep {
+		if at < d.diedAt[node] {
+			d.diedAt[node] = at
+			for i := len(d.history) - 1; i >= 0; i-- {
+				if tr := &d.history[i]; tr.Kind == "crash" && tr.Node == node && tr.Episode == ep {
+					tr.At = at
+					break
+				}
+			}
+		}
 		d.mu.Unlock()
 		return false
 	}

@@ -154,6 +154,26 @@ func TestTransitionLifecycle(t *testing.T) {
 // dying threads reach their safe points: the reverse arrival order and a
 // host-scheduled race both yield the same history, and a crash of a later
 // episode stays after them.
+// Every thread of a dying node calls Kill in host order; the crash is
+// dated by the earliest thread in virtual time, and only the first call
+// wins the wipe.
+func TestKillDatesCrashByEarliestThread(t *testing.T) {
+	const want = "ep0:crash(n1)@e3/t100"
+	d := det(4, 1)
+	if !d.Kill(1, 120, 3) {
+		t.Fatal("first kill of the episode did not win")
+	}
+	if d.Kill(1, 100, 3) || d.Kill(1, 130, 3) {
+		t.Fatal("a sibling thread's kill won the wipe")
+	}
+	if got := d.HistoryString(); got != want {
+		t.Fatalf("history %q, want %q", got, want)
+	}
+	if got := d.StateAt(1, 100+d.plan.Timeout); got != "dead" {
+		t.Fatalf("StateAt one timeout after the earliest crash = %q, want dead", got)
+	}
+}
+
 func TestSameEpisodeCrashesReplayInNodeOrder(t *testing.T) {
 	const want = "ep0:crash(n1)@e3/t120 ep0:crash(n3)@e3/t100 ep1:excise(n1)@e3/t200"
 	d := det(4, 1)

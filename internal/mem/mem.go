@@ -171,12 +171,12 @@ func (s *Space) ReadAt(p, off int, dst []byte) {
 }
 
 // ReadPageWords is ReadPage with the destination stores performed as
-// aligned 8-byte atomics. Cache refills use it when the Lynx lock-free read
-// path is possible for the slot: a fast-path reader may load a word of the
+// aligned 8-byte atomics. Cache refills use it for a buffer that some
+// thread's Lynx TLB was handed: a fast-path reader may load a word of the
 // destination buffer concurrently (it discards the value after its seqlock
 // generation check fails), and atomic stores keep that benign overlap
 // race-detector-clean. dst must be 8-byte aligned with len(dst)%8 == 0; the
-// caller falls back to ReadPage otherwise. An unwritten page stores zeros.
+// caller uses ReadPage otherwise. An unwritten page stores zeros.
 func (s *Space) ReadPageWords(p int, dst []byte) {
 	s.locks[p].RLock()
 	src := s.pages[p]
@@ -222,82 +222,73 @@ func (s *Space) Writeback(p int, data, twin []byte, preferFull func() bool) (tx 
 		copy(home, data)
 		return len(data), true
 	}
-	return applyDiffLocked(home, data, twin), false
+	return diffScan(home, data, twin), false
 }
 
-// The diff run-scan compares data against twin eight bytes at a time. Each
-// XOR word is classified with two branch-free tests: all-equal (zero),
-// all-different (no zero byte, detected with the carry trick — the
-// expression is exact for *whether* a zero byte exists), or mixed. Only
-// mixed words walk their bytes, and they do so in the register, so the
-// common patterns — untouched regions, solidly overwritten regions — move
-// at a word per step while arbitrary patterns keep the exact byte-run
-// semantics of the scalar loop. TrailingZeros on a sub-word tail would not
-// see bytes past len, so the tail falls back to byte steps.
+// The diff scan compares data against twin eight bytes at a time, without
+// a branch per byte. For each word x = data^twin it forms the per-byte
+// changed mask nz (bit 7 of a byte set iff that byte of x is nonzero:
+// adding 0x7f to the low seven bits carries into bit 7 exactly when one of
+// them is set, and the carry never crosses a byte), then counts
+//
+//	changed += popcount(nz)
+//	runs    += popcount(nz &^ (nz<<8 | carry))
+//
+// where a run starts at a changed byte whose predecessor is unchanged, and
+// carry brings the previous word's top-byte flag down to byte 0. When
+// applying, the changed bytes reach home in one masked merge per word,
+// h&^m | d&m with m = (nz>>7)*0xff. The wire size is exactly that of the
+// byte-run encoding of Keleher et al. (changed bytes plus an 8-byte header
+// per maximal run), and exactly the changed bytes reach home. Unchanged
+// words are skipped with one test, which keeps sparsely written pages at a
+// word per step; a tail of len%8 bytes is scanned byte-wise.
 const (
-	diffWordLo = 0x0101010101010101
-	diffWordHi = 0x8080808080808080
+	diffLo7 = 0x7f7f7f7f7f7f7f7f
+	diffHi  = 0x8080808080808080
 )
 
-// forEachDiffRun iterates the maximal runs [i, j) where data differs from
-// twin, invoking fn (when non-nil) for each, and returns the total wire size
-// of the diff: the changed bytes plus an 8-byte run header per run (the
-// encoding of Keleher et al.). It is the single run-scan shared by the apply
-// and size paths.
-func forEachDiffRun(data, twin []byte, fn func(i, j int)) int {
+// diffScan returns the wire size of the diff of data against twin and, when
+// home is non-nil, merges the changed bytes of data into home. It is the
+// single scan shared by the apply and size paths; twin and home must be at
+// least len(data) long.
+func diffScan(home, data, twin []byte) int {
 	n := len(data)
-	tx := 0
-	run := -1 // start of the open diff run, or -1
-	emit := func(end int) {
-		if fn != nil {
-			fn(run, end)
-		}
-		tx += (end - run) + 8
-		run = -1
-	}
+	twin = twin[:n]
+	changed, runs := 0, 0
+	var carry uint64 // 0x80 when the previous byte changed
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(data[i:]) ^ binary.LittleEndian.Uint64(twin[i:])
-		switch {
-		case x == 0: // word identical
-			if run >= 0 {
-				emit(i)
-			}
-		case (x-diffWordLo)&^x&diffWordHi == 0: // every byte differs
-			if run < 0 {
-				run = i
-			}
-		default: // mixed word: walk its bytes in the register
-			for b := 0; b < 8; b++ {
-				if byte(x>>(8*b)) != 0 {
-					if run < 0 {
-						run = i + b
-					}
-				} else if run >= 0 {
-					emit(i + b)
-				}
-			}
+		d := binary.LittleEndian.Uint64(data[i:])
+		x := d ^ binary.LittleEndian.Uint64(twin[i:])
+		if x == 0 {
+			carry = 0
+			continue
+		}
+		nz := ((x & diffLo7) + diffLo7 | x) & diffHi
+		changed += bits.OnesCount64(nz)
+		runs += bits.OnesCount64(nz &^ (nz<<8 | carry))
+		carry = nz >> 56
+		if home != nil {
+			m := (nz >> 7) * 0xff
+			h := binary.LittleEndian.Uint64(home[i:])
+			binary.LittleEndian.PutUint64(home[i:], h&^m|d&m)
 		}
 	}
 	for ; i < n; i++ {
-		if data[i] != twin[i] {
-			if run < 0 {
-				run = i
-			}
-		} else if run >= 0 {
-			emit(i)
+		if data[i] == twin[i] {
+			carry = 0
+			continue
+		}
+		changed++
+		if carry == 0 {
+			runs++
+		}
+		carry = 0x80
+		if home != nil {
+			home[i] = data[i]
 		}
 	}
-	if run >= 0 {
-		emit(n)
-	}
-	return tx
-}
-
-func applyDiffLocked(home, data, twin []byte) int {
-	return forEachDiffRun(data, twin, func(i, j int) {
-		copy(home[i:j], data[i:j])
-	})
+	return changed + 8*runs
 }
 
 // ApplyDiff writes back the bytes of data that differ from twin into page
@@ -307,7 +298,7 @@ func applyDiffLocked(home, data, twin []byte) int {
 // per contiguous changed run (the diff encoding of Keleher et al.).
 func (s *Space) ApplyDiff(p int, data, twin []byte) int {
 	s.locks[p].Lock()
-	tx := applyDiffLocked(s.homeLocked(p), data, twin)
+	tx := diffScan(s.homeLocked(p), data, twin)
 	s.locks[p].Unlock()
 	return tx
 }
@@ -315,7 +306,7 @@ func (s *Space) ApplyDiff(p int, data, twin []byte) int {
 // DiffSize returns the wire size of the diff between data and twin without
 // applying it (used to account the cost of a diff before transmission).
 func DiffSize(data, twin []byte) int {
-	return forEachDiffRun(data, twin, nil)
+	return diffScan(nil, data, twin)
 }
 
 // HomeBytes exposes page p's backing slice, allocating it under the page's

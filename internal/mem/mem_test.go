@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -262,29 +264,34 @@ func refDiffRuns(home, data, twin []byte) int {
 }
 
 // Directed cases the word-wise scan must get exactly right: empty diffs,
-// full-page diffs, and runs whose boundaries straddle 8-byte word edges, at
-// lengths that are not multiples of the word size.
+// full-page diffs, runs whose boundaries straddle 8-byte word edges, at
+// lengths that are not multiples of the word size, and LU-like pages of
+// float64s whose updates change only low mantissa bytes (several short runs
+// per word, runs carried across word edges).
 func TestDiffWordWiseDirected(t *testing.T) {
 	type run struct{ lo, hi int }
 	cases := []struct {
 		name string
 		n    int
 		runs []run
+		f64  bool // twin holds float64s; data applies small relative updates
 	}{
-		{"empty", 4096, nil},
-		{"full-page", 4096, []run{{0, 4096}}},
-		{"single-byte-at-0", 64, []run{{0, 1}}},
-		{"single-byte-at-end", 64, []run{{63, 64}}},
-		{"run-ends-at-word-edge", 64, []run{{3, 8}}},
-		{"run-starts-at-word-edge", 64, []run{{8, 13}}},
-		{"run-straddles-word-edge", 64, []run{{6, 10}}},
-		{"adjacent-runs-one-gap", 64, []run{{4, 7}, {8, 12}}},
-		{"whole-word-run", 64, []run{{16, 24}}},
-		{"tail-shorter-than-word", 13, []run{{9, 13}}},
-		{"tiny-page", 5, []run{{1, 4}}},
-		{"one-byte-page-diff", 1, []run{{0, 1}}},
-		{"one-byte-page-equal", 1, nil},
-		{"zero-length", 0, nil},
+		{"empty", 4096, nil, false},
+		{"full-page", 4096, []run{{0, 4096}}, false},
+		{"single-byte-at-0", 64, []run{{0, 1}}, false},
+		{"single-byte-at-end", 64, []run{{63, 64}}, false},
+		{"run-ends-at-word-edge", 64, []run{{3, 8}}, false},
+		{"run-starts-at-word-edge", 64, []run{{8, 13}}, false},
+		{"run-straddles-word-edge", 64, []run{{6, 10}}, false},
+		{"adjacent-runs-one-gap", 64, []run{{4, 7}, {8, 12}}, false},
+		{"whole-word-run", 64, []run{{16, 24}}, false},
+		{"tail-shorter-than-word", 13, []run{{9, 13}}, false},
+		{"tiny-page", 5, []run{{1, 4}}, false},
+		{"one-byte-page-diff", 1, []run{{0, 1}}, false},
+		{"one-byte-page-equal", 1, nil, false},
+		{"zero-length", 0, nil, false},
+		{"lu-mixed-f64", 4096, nil, true},
+		{"lu-mixed-f64-tail", 4096 - 3, nil, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,6 +305,19 @@ func TestDiffWordWiseDirected(t *testing.T) {
 					data[i] ^= 0xFF
 				}
 			}
+			if tc.f64 {
+				// a[k] -= l*u: every third word stays, the others move by a
+				// relative 1e-9..1e-12, leaving sign, exponent and high
+				// mantissa bytes equal.
+				for k := 0; k+8 <= tc.n; k += 8 {
+					v := 1.5 + float64(k)/97
+					binary.LittleEndian.PutUint64(twin[k:], math.Float64bits(v))
+					if k/8%3 != 0 {
+						v -= v * math.Pow(10, -9-float64(k/8%4))
+					}
+					binary.LittleEndian.PutUint64(data[k:], math.Float64bits(v))
+				}
+			}
 			want := refDiffRuns(nil, data, twin)
 			if got := DiffSize(data, twin); got != want {
 				t.Fatalf("DiffSize = %d, want %d", got, want)
@@ -309,8 +329,8 @@ func TestDiffWordWiseDirected(t *testing.T) {
 				homeB[i] = 0xA5
 			}
 			refDiffRuns(homeA, data, twin)
-			if got := applyDiffLocked(homeB, data, twin); got != want {
-				t.Fatalf("applyDiffLocked tx = %d, want %d", got, want)
+			if got := diffScan(homeB, data, twin); got != want {
+				t.Fatalf("diffScan tx = %d, want %d", got, want)
 			}
 			if !bytes.Equal(homeA, homeB) {
 				t.Fatalf("word-wise apply diverged from byte-wise reference")
@@ -355,7 +375,7 @@ func TestDiffWordWiseMatchesReference(t *testing.T) {
 		if DiffSize(data, twin) != want {
 			return false
 		}
-		if applyDiffLocked(homeGot, data, twin) != want {
+		if diffScan(homeGot, data, twin) != want {
 			return false
 		}
 		return bytes.Equal(homeRef, homeGot)

@@ -7,8 +7,10 @@
 package microbench
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"testing"
 
 	"argo"
@@ -91,6 +93,34 @@ func BulkRead(b *testing.B) {
 	})
 }
 
+// LineRefill measures the bulk refill path: every iteration self-invalidates
+// one 4-page line that another node writes (SI fence) and re-reads it with
+// ReadF64s, paying one line fetch and four page refills. BulkRead, by
+// contrast, stays warm in the cache.
+func LineRefill(b *testing.B) {
+	c := cluster(2)
+	const n = 4 * 512   // one line of the default geometry: 4 pages of 512 float64s
+	xs := c.AllocF64(n) // first allocation: starts on a line boundary
+	b.SetBytes(n * 8)
+	b.ResetTimer()
+	c.Run(1, func(t *argo.Thread) {
+		buf := make([]float64, n)
+		if t.Rank == 1 {
+			// A writer on another node makes the line shared with a
+			// writer, which node 0's SI fences must drop.
+			t.WriteF64s(xs, 0, buf)
+		}
+		t.Barrier()
+		if t.Rank != 0 {
+			return
+		}
+		for i := 0; i < b.N; i++ {
+			t.AcquireFence()
+			t.ReadF64s(xs, 0, n, buf)
+		}
+	})
+}
+
 // SIFence measures the acquire-fence sweep over a populated cache.
 func SIFence(b *testing.B) {
 	c := cluster(2)
@@ -124,6 +154,26 @@ func DiffApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ApplyDiff(0, data, base)
+	}
+}
+
+// DiffMixedF64 measures diff application for a page of float64s after small
+// relative updates (LU's pattern: the low mantissa bytes change while sign,
+// exponent and high mantissa bytes stay, so nearly every word mixes changed
+// and unchanged bytes).
+func DiffMixedF64(b *testing.B) {
+	twin := make([]byte, 4096)
+	data := make([]byte, 4096)
+	for k := 0; k < len(twin); k += 8 {
+		v := 1 + float64(k)/4096
+		binary.LittleEndian.PutUint64(twin[k:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(data[k:], math.Float64bits(v-v*1e-7*float64(k/8%5+1)))
+	}
+	s := mem.NewSpace(1, 4096, 4096, mem.Interleaved)
+	b.SetBytes(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ApplyDiff(0, data, twin)
 	}
 }
 
@@ -170,8 +220,10 @@ func Rows() []Row {
 		{"BenchmarkGetF64", GetF64Stride},
 		{"BenchmarkSetF64", SetF64Stride},
 		{"BenchmarkBulkRead", BulkRead},
+		{"BenchmarkLineRefill", LineRefill},
 		{"BenchmarkSIFence", SIFence},
 		{"BenchmarkDiffApply", DiffApply},
+		{"BenchmarkDiffMixedF64", DiffMixedF64},
 		{"BenchmarkNewCluster", NewCluster},
 		{"BenchmarkFig13bNbody", Fig13bNbody},
 	}
