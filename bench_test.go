@@ -194,6 +194,14 @@ func BenchmarkSDFence(b *testing.B) {
 // the setup cost every launch pays.
 func BenchmarkNewCluster(b *testing.B) { microbench.NewCluster(b) }
 
+// BenchmarkDirFetchOr measures a warm-table Pyxis registration plus a
+// directory-cache lookup.
+func BenchmarkDirFetchOr(b *testing.B) { microbench.DirFetchOr(b) }
+
+// BenchmarkResetVirtualState measures the between-launch reset of a
+// cluster whose run touched a few hundred pages per node.
+func BenchmarkResetVirtualState(b *testing.B) { microbench.ResetVirtualState(b) }
+
 func memSpaceForBench() *mem.Space {
 	return mem.NewSpace(1, 4096, 4096, mem.Interleaved)
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"argo/internal/chunk"
 	"argo/internal/sim"
 )
 
@@ -70,6 +71,32 @@ type Slot struct {
 	DataPage int
 }
 
+// Line is one cache line: its lock, its seqlock state and its
+// PagesPerLine slots. Lines live in chunks the cache allocates on first
+// touch (package chunk); a Line never moves and is never freed while its
+// cache lives, because TLB entries hold pointers to its Sync.
+type Line struct {
+	mu    sync.Mutex
+	used  bool // guarded by Cache.usedMu (see MarkLineUsed)
+	slots []Slot
+	// Sync is the line's seqlock state for the Lynx fast path.
+	Sync LineSync
+}
+
+// Lock acquires the line lock.
+func (ln *Line) Lock() { ln.mu.Lock() }
+
+// Unlock releases the line lock.
+func (ln *Line) Unlock() { ln.mu.Unlock() }
+
+// Slots returns the line's slots (the line lock must be held).
+func (ln *Line) Slots() []Slot { return ln.slots }
+
+// Slot returns the slot page maps to within this line, which must be the
+// line page maps to (Cache.LineOf). The line lock must be held; the slot
+// may currently hold a different page (conflict) or none.
+func (ln *Line) Slot(page int) *Slot { return &ln.slots[page%len(ln.slots)] }
+
 // Cache is one node's page cache.
 type Cache struct {
 	Node         int
@@ -83,9 +110,9 @@ type Cache struct {
 	// recording; hot paths pay a nil check.
 	MX *Probes
 
-	lineLocks []sync.Mutex
-	lineSync  []LineSync // per-line seqlock state for the Lynx fast path
-	slots     []Slot     // Lines * PagesPerLine
+	// lines is materialized chunk by chunk as pages map to them; untouched
+	// lines cost one nil chunk pointer per chunk.
+	lines chunk.Table[Line]
 
 	// FetchGate serializes page fetches of this node in virtual time,
 	// modeling the prototype's MPI limitation that only one thread can use
@@ -97,11 +124,11 @@ type Cache struct {
 	wbQ   []int // FIFO of page numbers; may contain stale entries
 
 	// Occupied-line tracking: fences sweep only lines that ever held a
-	// page since the last sweep found them empty. usedSet is guarded by
-	// usedMu; the lock order is line lock → usedMu.
+	// page since the last sweep found them empty. The per-line flag
+	// (Line.used) and usedList are guarded by usedMu; the lock order is
+	// line lock → usedMu.
 	usedMu   sync.Mutex
-	usedSet  []bool
-	usedList []int
+	usedList []*Line
 
 	// Spare twins: DropTwin returns a dropped twin here and EnsureTwin
 	// reuses it, so write misses stop allocating once the node has reached
@@ -114,7 +141,8 @@ type Cache struct {
 }
 
 // New creates a cache of lines cache lines of pagesPerLine consecutive
-// pages each, with a write buffer of wbCapacity pages.
+// pages each, with a write buffer of wbCapacity pages. No line is allocated
+// until a page maps to it.
 func New(node, pageSize, lines, pagesPerLine, wbCapacity int) *Cache {
 	if lines <= 0 || pagesPerLine <= 0 {
 		panic(fmt.Sprintf("cache: invalid geometry lines=%d pagesPerLine=%d", lines, pagesPerLine))
@@ -127,29 +155,36 @@ func New(node, pageSize, lines, pagesPerLine, wbCapacity int) *Cache {
 		PageSize:     pageSize,
 		Lines:        lines,
 		PagesPerLine: pagesPerLine,
-		lineLocks:    make([]sync.Mutex, lines),
-		lineSync:     make([]LineSync, lines),
-		slots:        make([]Slot, lines*pagesPerLine),
 		wbCap:        wbCapacity,
 	}
-	for i := range c.slots {
-		c.slots[i].Page = -1
-		c.slots[i].DataPage = -1
-	}
-	c.usedSet = make([]bool, lines)
+	c.lines.Init(lines, func(_ int, ls []Line) {
+		slots := make([]Slot, len(ls)*pagesPerLine)
+		for i := range slots {
+			slots[i].Page = -1
+			slots[i].DataPage = -1
+		}
+		for i := range ls {
+			ls[i].slots = slots[i*pagesPerLine : (i+1)*pagesPerLine : (i+1)*pagesPerLine]
+		}
+	})
 	return c
 }
 
-// MarkLineUsed records that line l holds at least one page; the caller must
-// hold l's line lock.
-func (c *Cache) MarkLineUsed(l int) {
-	if c.usedSet[l] { // stable while the line lock is held
+// Line returns line l, materializing its chunk on first touch. Hot paths
+// look a line up once and then lock it, pick its slot and fill TLBs
+// through the handle.
+func (c *Cache) Line(l int) *Line { return c.lines.At(l) }
+
+// MarkLineUsed records that line ln holds at least one page; the caller
+// must hold ln's lock.
+func (c *Cache) MarkLineUsed(ln *Line) {
+	if ln.used { // stable while the line lock is held
 		return
 	}
 	c.usedMu.Lock()
-	if !c.usedSet[l] {
-		c.usedSet[l] = true
-		c.usedList = append(c.usedList, l)
+	if !ln.used {
+		ln.used = true
+		c.usedList = append(c.usedList, ln)
 	}
 	c.usedMu.Unlock()
 }
@@ -158,37 +193,36 @@ func (c *Cache) MarkLineUsed(l int) {
 // held, and retires lines the sweep leaves empty. Fences use this instead
 // of ForEachLine so their cost scales with the resident set, not with the
 // cache geometry.
-func (c *Cache) ForEachUsedLine(fn func(l int, slots []*Slot)) {
-	for _, l := range c.UsedLines() {
-		c.lineLocks[l].Lock()
-		fn(l, c.SlotsOfLine(l))
-		c.RetireLineIfEmpty(l)
-		c.lineLocks[l].Unlock()
+func (c *Cache) ForEachUsedLine(fn func(ln *Line)) {
+	for _, ln := range c.UsedLines() {
+		ln.mu.Lock()
+		fn(ln)
+		c.RetireLineIfEmpty(ln)
+		ln.mu.Unlock()
 	}
 	c.CompactUsedList()
 }
 
-// UsedLines returns a snapshot of the occupied line indices in first-use
-// order. Parallel fence sweeps shard it across workers and lock each line
+// UsedLines returns a snapshot of the occupied lines in first-use order.
+// Parallel fence sweeps shard it across workers and lock each line
 // themselves.
-func (c *Cache) UsedLines() []int {
+func (c *Cache) UsedLines() []*Line {
 	c.usedMu.Lock()
-	out := append([]int(nil), c.usedList...)
+	out := append([]*Line(nil), c.usedList...)
 	c.usedMu.Unlock()
 	return out
 }
 
-// RetireLineIfEmpty clears line l's used flag if no slot holds a valid page.
-// The caller must hold l's line lock (lock order: line lock → usedMu).
-func (c *Cache) RetireLineIfEmpty(l int) {
-	for i := 0; i < c.PagesPerLine; i++ {
-		s := &c.slots[l*c.PagesPerLine+i]
-		if s.Page >= 0 && s.St != Invalid {
+// RetireLineIfEmpty clears line ln's used flag if no slot holds a valid
+// page. The caller must hold ln's lock (lock order: line lock → usedMu).
+func (c *Cache) RetireLineIfEmpty(ln *Line) {
+	for i := range ln.slots {
+		if s := &ln.slots[i]; s.Page >= 0 && s.St != Invalid {
 			return
 		}
 	}
 	c.usedMu.Lock()
-	c.usedSet[l] = false
+	ln.used = false
 	c.usedMu.Unlock()
 }
 
@@ -198,9 +232,9 @@ func (c *Cache) RetireLineIfEmpty(l int) {
 func (c *Cache) CompactUsedList() {
 	c.usedMu.Lock()
 	kept := c.usedList[:0]
-	for _, l := range c.usedList {
-		if c.usedSet[l] {
-			kept = append(kept, l)
+	for _, ln := range c.usedList {
+		if ln.used {
+			kept = append(kept, ln)
 		}
 	}
 	c.usedList = kept
@@ -219,29 +253,10 @@ func (c *Cache) LineBase(page int) int {
 	return page - page%c.PagesPerLine
 }
 
-// LockLine acquires the lock of line l.
-func (c *Cache) LockLine(l int) { c.lineLocks[l].Lock() }
-
-// UnlockLine releases the lock of line l.
-func (c *Cache) UnlockLine(l int) { c.lineLocks[l].Unlock() }
-
-// SlotFor returns the slot that page maps to. The line lock must be held;
-// the slot may currently hold a different page (conflict) or none.
-func (c *Cache) SlotFor(page int) *Slot {
-	l := c.LineOf(page)
-	return &c.slots[l*c.PagesPerLine+page%c.PagesPerLine]
-}
-
-// LineSlots returns the slots of line l (the line lock must be held).
-func (c *Cache) LineSlots(l int) []Slot {
-	return c.slots[l*c.PagesPerLine : (l+1)*c.PagesPerLine]
-}
-
-// SlotsOfLine returns mutable pointers to the slots of line l.
-func (c *Cache) SlotsOfLine(l int) []*Slot {
-	out := make([]*Slot, c.PagesPerLine)
-	for i := 0; i < c.PagesPerLine; i++ {
-		out[i] = &c.slots[l*c.PagesPerLine+i]
+func slotPtrs(slots []Slot) []*Slot {
+	out := make([]*Slot, len(slots))
+	for i := range slots {
+		out[i] = &slots[i]
 	}
 	return out
 }
@@ -366,32 +381,46 @@ func (c *Cache) WBLen() int {
 // WBCapacity returns the configured write-buffer capacity in pages.
 func (c *Cache) WBCapacity() int { return c.wbCap }
 
-// ForEachLine runs fn for every line index with that line's lock held.
-// Used by the fence sweeps.
+// ForEachLine runs fn for every materialized line with that line's lock
+// held, in index order. Lines that were never materialized hold no page,
+// so every resident slot is visited. Used by the invariant checks.
 func (c *Cache) ForEachLine(fn func(l int, slots []*Slot)) {
-	for l := 0; l < c.Lines; l++ {
-		c.lineLocks[l].Lock()
-		fn(l, c.SlotsOfLine(l))
-		c.lineLocks[l].Unlock()
-	}
+	c.lines.Range(func(base int, ls []Line) {
+		for i := range ls {
+			ln := &ls[i]
+			ln.mu.Lock()
+			fn(base+i, slotPtrs(ln.slots))
+			ln.mu.Unlock()
+		}
+	})
 }
 
 // Reset invalidates every slot and clears the write buffer (collective
 // reinitialization between measurement phases, and Cygnus crash wipes).
+// It walks the materialized lines only: a line that ever held a page was
+// materialized, so every line a TLB entry may name gets its generation
+// bumped, and an untouched line costs nothing.
 func (c *Cache) Reset() {
-	for l := 0; l < c.Lines; l++ {
-		c.lineLocks[l].Lock()
-		c.BumpLineGen(l)
-		for i := 0; i < c.PagesPerLine; i++ {
-			s := &c.slots[l*c.PagesPerLine+i]
-			c.DropTwin(s)
-			s.Invalidate()
-			s.ReadyAt = 0
+	c.lines.Range(func(_ int, ls []Line) {
+		for i := range ls {
+			ln := &ls[i]
+			ln.mu.Lock()
+			ln.BumpGen()
+			for j := range ln.slots {
+				s := &ln.slots[j]
+				c.DropTwin(s)
+				s.Invalidate()
+				s.ReadyAt = 0
+			}
+			ln.mu.Unlock()
 		}
-		c.lineLocks[l].Unlock()
-	}
+	})
 	c.wbMu.Lock()
 	c.wbQ = nil
 	c.wbMu.Unlock()
 	c.FetchGate.Reset()
 }
+
+// MaterializedChunks returns how many chunks of lines have been allocated
+// (tests and the cost-of-construction checks).
+func (c *Cache) MaterializedChunks() int { return c.lines.Materialized() }

@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"argo/internal/chunk"
 )
 
 func testCache() *Cache { return New(0, 4096, 8, 4, 16) }
@@ -24,14 +27,15 @@ func TestGeometry(t *testing.T) {
 
 func TestSlotForDistinctWithinLine(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	defer c.UnlockLine(0)
-	s0 := c.SlotFor(0)
-	s1 := c.SlotFor(1)
+	ln := c.Line(0)
+	ln.Lock()
+	defer ln.Unlock()
+	s0 := ln.Slot(0)
+	s1 := ln.Slot(1)
 	if s0 == s1 {
 		t.Fatal("pages of one line share a slot")
 	}
-	if got := c.SlotFor(32); got != s0 {
+	if c.LineOf(32) != 0 || ln.Slot(32) != s0 {
 		t.Fatal("conflicting page does not map to the same slot")
 	}
 }
@@ -47,8 +51,9 @@ func TestInvalidGeometryPanics(t *testing.T) {
 
 func TestEnsureDataAndTwin(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	s := c.SlotFor(0)
+	ln := c.Line(0)
+	ln.Lock()
+	s := ln.Slot(0)
 	c.EnsureData(s)
 	if len(s.Data) != 4096 {
 		t.Fatal("data buffer wrong size")
@@ -66,15 +71,16 @@ func TestEnsureDataAndTwin(t *testing.T) {
 	if s.Twin != nil {
 		t.Fatal("twin not dropped")
 	}
-	c.UnlockLine(0)
+	ln.Unlock()
 }
 
 // A dropped twin is the next write miss's twin, re-snapshotted from that
 // slot's data.
 func TestDropTwinRecycles(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	a, b := c.SlotFor(0), c.SlotFor(1)
+	ln := c.Line(0)
+	ln.Lock()
+	a, b := ln.Slot(0), ln.Slot(1)
 	c.EnsureData(a)
 	c.EnsureData(b)
 	a.Data[7] = 1
@@ -94,7 +100,7 @@ func TestDropTwinRecycles(t *testing.T) {
 	if &a.Twin[0] == twin {
 		t.Fatal("one twin handed to two slots")
 	}
-	c.UnlockLine(0)
+	ln.Unlock()
 }
 
 // Published follows the buffer: FillTLB sets it, Invalidate, Reset and a
@@ -102,16 +108,16 @@ func TestDropTwinRecycles(t *testing.T) {
 func TestPublishedLifecycle(t *testing.T) {
 	c := testCache()
 	tb := NewTLB()
-	l := c.LineOf(5)
-	c.LockLine(l)
-	s := c.SlotFor(5)
+	ln := c.Line(c.LineOf(5))
+	ln.Lock()
+	s := ln.Slot(5)
 	s.Page, s.St = 5, Clean
 	c.EnsureData(s)
 	s.DataPage = 5
 	if s.Published {
 		t.Fatal("fresh buffer is published")
 	}
-	c.FillTLB(tb, l, s)
+	c.FillTLB(tb, ln, s)
 	if !s.Published {
 		t.Fatal("FillTLB did not mark the buffer published")
 	}
@@ -124,9 +130,9 @@ func TestPublishedLifecycle(t *testing.T) {
 	if !s.Published {
 		t.Fatal("same-page refill unpublished the buffer")
 	}
-	c.UnlockLine(l)
+	ln.Unlock()
 	c.Reset()
-	c.LockLine(l)
+	ln.Lock()
 	if !s.Published || s.Data == nil {
 		t.Fatal("Reset dropped the buffer's published mark")
 	}
@@ -136,7 +142,7 @@ func TestPublishedLifecycle(t *testing.T) {
 	if s.Published {
 		t.Fatal("fresh buffer after a conflict refill is published")
 	}
-	c.UnlockLine(l)
+	ln.Unlock()
 }
 
 // Published must live in St's padding: a larger Slot costs a word per
@@ -217,35 +223,73 @@ func TestWBEvictionProperty(t *testing.T) {
 	}
 }
 
+// ForEachLine visits every resident slot exactly once, under its line's
+// lock and with its line index, including residents of lines in separately
+// materialized chunks and in the last, partial chunk. It skips only chunks
+// that were never materialized, which hold no page.
 func TestForEachLineVisitsAll(t *testing.T) {
-	c := testCache()
-	count := 0
+	const lines = 3*chunk.Size + 5
+	c := New(0, 4096, lines, 4, 16)
+	want := map[int]bool{}
+	for _, l := range []int{0, 1, chunk.Size + 7, lines - 1} {
+		ln := c.Line(l)
+		ln.Lock()
+		for i := 0; i < c.PagesPerLine; i += 2 {
+			page := l*c.PagesPerLine + i
+			s := ln.Slot(page)
+			s.Page, s.St = page, Clean
+			want[page] = true
+		}
+		ln.Unlock()
+	}
+	got := map[int]bool{}
+	visited := 0
 	c.ForEachLine(func(l int, slots []*Slot) {
-		count += len(slots)
+		if c.Line(l).mu.TryLock() {
+			t.Fatalf("line %d visited without its lock held", l)
+		}
+		visited += len(slots)
+		for i, s := range slots {
+			if s.Page < 0 {
+				continue
+			}
+			if c.LineOf(s.Page) != l || s.Page%c.PagesPerLine != i {
+				t.Fatalf("page %d reported in line %d slot %d", s.Page, l, i)
+			}
+			if got[s.Page] {
+				t.Fatalf("page %d visited twice", s.Page)
+			}
+			got[s.Page] = true
+		}
 	})
-	if count != 8*4 {
-		t.Fatalf("visited %d slots, want 32", count)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("visited residents %v, want %v", got, want)
+	}
+	// Chunks 0, 1 and the partial chunk 3 are materialized; chunk 2 is not.
+	if n := (2*chunk.Size + 5) * c.PagesPerLine; visited != n {
+		t.Fatalf("visited %d slots, want the %d of the materialized lines", visited, n)
 	}
 }
 
 func TestReset(t *testing.T) {
 	c := testCache()
-	c.LockLine(0)
-	s := c.SlotFor(1)
+	ln := c.Line(0)
+	ln.Lock()
+	s := ln.Slot(1)
 	s.Page = 1
 	s.St = Dirty
 	c.EnsureData(s)
 	c.EnsureTwin(s)
 	s.ReadyAt = 99
-	c.UnlockLine(0)
+	ln.Unlock()
 	c.WBPush(1)
 	c.Reset()
-	c.LockLine(0)
-	s = c.SlotFor(1)
+	ln.Lock()
+	s = ln.Slot(1)
 	if s.Page != -1 || s.St != Invalid || s.Twin != nil || s.ReadyAt != 0 {
 		t.Fatalf("reset left state: %+v", s)
 	}
-	c.UnlockLine(0)
+	ln.Unlock()
 	if c.WBLen() != 0 {
 		t.Fatal("reset left write-buffer entries")
 	}
@@ -260,62 +304,68 @@ func TestStateString(t *testing.T) {
 func TestUsedLineTracking(t *testing.T) {
 	c := testCache()
 	seen := 0
-	c.ForEachUsedLine(func(l int, slots []*Slot) { seen++ })
+	c.ForEachUsedLine(func(*Line) { seen++ })
 	if seen != 0 {
 		t.Fatalf("fresh cache has %d used lines", seen)
 	}
 	// Populate lines 1 and 3.
 	for _, l := range []int{1, 3} {
-		c.LockLine(l)
-		s := c.SlotFor(l * c.PagesPerLine)
+		ln := c.Line(l)
+		ln.Lock()
+		s := ln.Slot(l * c.PagesPerLine)
 		s.Page = l * c.PagesPerLine
 		s.St = Clean
 		c.EnsureData(s)
-		c.MarkLineUsed(l)
-		c.UnlockLine(l)
+		c.MarkLineUsed(ln)
+		ln.Unlock()
 	}
-	var visited []int
-	c.ForEachUsedLine(func(l int, slots []*Slot) { visited = append(visited, l) })
+	var visited []*Line
+	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln) })
 	if len(visited) != 2 {
-		t.Fatalf("visited %v, want lines 1 and 3", visited)
+		t.Fatalf("visited %d lines, want lines 1 and 3", len(visited))
 	}
 	// Empty line 1 during a sweep: it must be retired.
-	c.ForEachUsedLine(func(l int, slots []*Slot) {
-		if l == 1 {
-			for _, s := range slots {
-				s.Invalidate()
+	c.ForEachUsedLine(func(ln *Line) {
+		if ln.mu.TryLock() {
+			t.Fatal("used line visited without its lock held")
+		}
+		if ln == c.Line(1) {
+			for i := range ln.Slots() {
+				ln.Slots()[i].Invalidate()
 			}
 		}
 	})
 	visited = nil
-	c.ForEachUsedLine(func(l int, slots []*Slot) { visited = append(visited, l) })
-	if len(visited) != 1 || visited[0] != 3 {
-		t.Fatalf("after retirement visited %v, want [3]", visited)
+	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln) })
+	if len(visited) != 1 || visited[0] != c.Line(3) {
+		t.Fatalf("after retirement visited %v, want [line 3]", visited)
 	}
 	// Re-marking a retired line brings it back exactly once.
-	c.LockLine(1)
-	s := c.SlotFor(c.PagesPerLine)
+	ln := c.Line(1)
+	ln.Lock()
+	s := ln.Slot(c.PagesPerLine)
 	s.Page = c.PagesPerLine
 	s.St = Clean
-	c.MarkLineUsed(1)
-	c.MarkLineUsed(1) // idempotent
-	c.UnlockLine(1)
+	c.MarkLineUsed(ln)
+	c.MarkLineUsed(ln) // idempotent
+	ln.Unlock()
 	visited = nil
-	c.ForEachUsedLine(func(l int, slots []*Slot) { visited = append(visited, l) })
+	c.ForEachUsedLine(func(ln *Line) { visited = append(visited, ln) })
 	if len(visited) != 2 {
-		t.Fatalf("after re-mark visited %v", visited)
+		t.Fatalf("after re-mark visited %d lines, want 2", len(visited))
 	}
 }
 
 func TestLineSlotsView(t *testing.T) {
 	c := testCache()
-	c.LockLine(2)
-	c.SlotFor(2 * c.PagesPerLine).Page = 2 * c.PagesPerLine
-	view := c.LineSlots(2)
+	ln := c.Line(2)
+	ln.Lock()
+	ln.Slot(2 * c.PagesPerLine).Page = 2 * c.PagesPerLine
+	view := ln.Slots()
 	if len(view) != c.PagesPerLine || view[0].Page != 2*c.PagesPerLine {
 		t.Fatalf("LineSlots view wrong: %+v", view[0])
 	}
-	c.UnlockLine(2)
+	ln.Unlock()
 }
 
 func TestWBClearAndTake(t *testing.T) {
@@ -354,29 +404,31 @@ func TestWBClearAndTake(t *testing.T) {
 func TestUsedLinesSnapshotAndRetire(t *testing.T) {
 	c := New(0, 4096, 8, 2, 64)
 	for _, l := range []int{3, 1} {
-		c.LockLine(l)
-		s := c.SlotsOfLine(l)[0]
+		ln := c.Line(l)
+		ln.Lock()
+		s := &ln.Slots()[0]
 		s.Page = l * c.PagesPerLine
 		s.St = Clean
-		c.MarkLineUsed(l)
-		c.UnlockLine(l)
+		c.MarkLineUsed(ln)
+		ln.Unlock()
 	}
-	if got := c.UsedLines(); len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("UsedLines = %v, want [3 1] (first-use order)", got)
+	l1, l3 := c.Line(1), c.Line(3)
+	if got := c.UsedLines(); len(got) != 2 || got[0] != l3 || got[1] != l1 {
+		t.Fatalf("UsedLines = %v, want [line 3, line 1] (first-use order)", got)
 	}
 	// Retire line 3 after emptying it; the snapshot compacts.
-	c.LockLine(3)
-	c.SlotsOfLine(3)[0].Invalidate()
-	c.RetireLineIfEmpty(3)
-	c.UnlockLine(3)
+	l3.Lock()
+	l3.Slots()[0].Invalidate()
+	c.RetireLineIfEmpty(l3)
+	l3.Unlock()
 	c.CompactUsedList()
-	if got := c.UsedLines(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("UsedLines after retire = %v, want [1]", got)
+	if got := c.UsedLines(); len(got) != 1 || got[0] != l1 {
+		t.Fatalf("UsedLines after retire = %v, want [line 1]", got)
 	}
 	// A non-empty line does not retire.
-	c.LockLine(1)
-	c.RetireLineIfEmpty(1)
-	c.UnlockLine(1)
+	l1.Lock()
+	c.RetireLineIfEmpty(l1)
+	l1.Unlock()
 	c.CompactUsedList()
 	if got := c.UsedLines(); len(got) != 1 {
 		t.Fatalf("occupied line retired: %v", got)

@@ -30,7 +30,7 @@ package cache
 //     an unpublished buffer is a plain copy with nothing to race against.
 //  3. Active-writer drain. A fast-path dirty write announces itself on the
 //     line's Act counter before validating and retracts after storing.
-//     BumpLineGen spins until Act is zero after bumping, so by the time a
+//     Line.BumpGen spins until Act is zero after bumping, so by the time a
 //     fence (or eviction) reads the buffer for its diff, every fast store
 //     that validated against the old generation has landed and is
 //     happens-before-visible. No release consistency write can be lost.
@@ -59,15 +59,12 @@ type LineSync struct {
 	_   [48]byte
 }
 
-// Sync returns line l's seqlock state (TLB fills cache the pointer).
-func (c *Cache) Sync(l int) *LineSync { return &c.lineSync[l] }
-
-// BumpLineGen invalidates all TLB entries of line l and waits out any
+// BumpGen invalidates all TLB entries of the line and waits out any
 // fast-path writer that validated against the old generation. The caller
-// must hold l's line lock and call this before mutating slot state or
+// must hold the line lock and call this before mutating slot state or
 // reading slot data for a diff. Double bumps are harmless (monotonic).
-func (c *Cache) BumpLineGen(l int) {
-	ls := &c.lineSync[l]
+func (ln *Line) BumpGen() {
+	ls := &ln.Sync
 	ls.Gen.Add(1)
 	// A fast-path writer holds Act only across one validation and one
 	// atomic store — no locks, no waiting — so this drains in nanoseconds;
@@ -79,8 +76,14 @@ func (c *Cache) BumpLineGen(l int) {
 	}
 }
 
-// LineGen returns line l's current generation (tests).
-func (c *Cache) LineGen(l int) uint64 { return c.lineSync[l].Gen.Load() }
+// LineGen returns line l's current generation (tests). A line that was
+// never materialized reads 0 and stays unallocated.
+func (c *Cache) LineGen(l int) uint64 {
+	if ln := c.lines.Peek(l); ln != nil {
+		return ln.Sync.Gen.Load()
+	}
+	return 0
+}
 
 // TLBSize is the number of direct-mapped entries per thread. A power of two;
 // 256 entries cover 1 MB of 4 KB pages, comfortably more than the working
@@ -131,13 +134,13 @@ func WordAligned(b []byte) bool {
 	return len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))&7 == 0
 }
 
-// FillTLB publishes slot s of line l into tb after a locked access, so the
+// FillTLB publishes slot s of line ln into tb after a locked access, so the
 // thread's next accesses to the page can validate lock-free, and marks the
-// slot's buffer Published. The caller must hold l's line lock. Slots whose
+// slot's buffer Published. The caller must hold ln's lock. Slots whose
 // geometry cannot support word-atomic access (page size not a multiple of 8,
 // or an unaligned buffer) are never published, which confines every later
 // access to the locked path.
-func (c *Cache) FillTLB(tb *TLB, l int, s *Slot) {
+func (c *Cache) FillTLB(tb *TLB, ln *Line, s *Slot) {
 	if tb == nil || s.Page < 0 || s.St == Invalid || s.Data == nil {
 		return
 	}
@@ -146,11 +149,11 @@ func (c *Cache) FillTLB(tb *TLB, l int, s *Slot) {
 	}
 	*tb.Entry(s.Page) = TLBEntry{
 		Page:    s.Page,
-		G:       c.lineSync[l].Gen.Load(),
+		G:       ln.Sync.Gen.Load(),
 		Dirty:   s.St == Dirty,
 		ReadyAt: s.ReadyAt,
 		Data:    s.Data,
-		Sync:    &c.lineSync[l],
+		Sync:    &ln.Sync,
 	}
 	s.Published = true
 }

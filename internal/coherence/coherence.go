@@ -216,9 +216,9 @@ func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 		if seg > nbytes-done {
 			seg = nbytes - done
 		}
-		l := n.Cache.LineOf(page)
-		n.Cache.LockLine(l)
-		s := n.Cache.SlotFor(page)
+		ln := n.Cache.Line(n.Cache.LineOf(page))
+		ln.Lock()
+		s := ln.Slot(page)
 		if s.Page != page || s.St == cache.Invalid {
 			n.St.ReadMisses.Add(1)
 			n.ev(p, trace.EvReadMiss, page, 0)
@@ -226,8 +226,7 @@ func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 				n.Cache.MX.Misses.Inc()
 				n.MX.Pages.ReadMiss(page)
 			}
-			n.fetchLineLocked(p, l, page)
-			s = n.Cache.SlotFor(page)
+			n.fetchLineLocked(p, ln, page)
 		} else {
 			p.Hits++
 			if n.MX != nil {
@@ -237,7 +236,7 @@ func (n *Node) ReadSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int,
 		p.AdvanceTo(s.ReadyAt)
 		p.Advance(n.accessCost(seg))
 		fn(done, s.Data[off:off+seg])
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 		done += seg
 		addr += mem.Addr(seg)
 	}
@@ -257,17 +256,16 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 		if seg > nbytes-done {
 			seg = nbytes - done
 		}
-		l := n.Cache.LineOf(page)
-		n.Cache.LockLine(l)
-		s := n.Cache.SlotFor(page)
+		ln := n.Cache.Line(n.Cache.LineOf(page))
+		ln.Lock()
+		s := ln.Slot(page)
 		if s.Page != page || s.St == cache.Invalid {
 			n.St.ReadMisses.Add(1) // write-allocate: fetch the page first
 			if n.MX != nil {
 				n.Cache.MX.Misses.Inc()
 				n.MX.Pages.ReadMiss(page)
 			}
-			n.fetchLineLocked(p, l, page)
-			s = n.Cache.SlotFor(page)
+			n.fetchLineLocked(p, ln, page)
 		} else {
 			p.Hits++
 			if n.MX != nil {
@@ -283,7 +281,7 @@ func (n *Node) WriteSegs(p *sim.Proc, addr mem.Addr, nbytes int, fn func(off int
 		}
 		p.Advance(n.accessCost(seg))
 		fn(done, s.Data[off:off+seg])
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 
 		if evict {
 			// Write-buffer overflow: downgrade the oldest dirty page. Done
@@ -360,9 +358,9 @@ func (n *Node) ReadWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
 func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 {
 	page := n.Space.PageOf(addr)
 	off := int(addr) & (n.Cache.PageSize - 1)
-	l := n.Cache.LineOf(page)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(page)
+	ln := n.Cache.Line(n.Cache.LineOf(page))
+	ln.Lock()
+	s := ln.Slot(page)
 	if s.Page != page || s.St == cache.Invalid {
 		n.St.ReadMisses.Add(1)
 		n.ev(p, trace.EvReadMiss, page, 0)
@@ -370,8 +368,7 @@ func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 
 			n.Cache.MX.Misses.Inc()
 			n.MX.Pages.ReadMiss(page)
 		}
-		n.fetchLineLocked(p, l, page)
-		s = n.Cache.SlotFor(page)
+		n.fetchLineLocked(p, ln, page)
 	} else {
 		p.Hits++
 		if n.MX != nil {
@@ -381,8 +378,8 @@ func (n *Node) readWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr) uint64 
 	p.AdvanceTo(s.ReadyAt)
 	p.Advance(n.Fab.P.CacheHit)
 	v := binary.LittleEndian.Uint64(s.Data[off:])
-	n.Cache.FillTLB(tb, l, s)
-	n.Cache.UnlockLine(l)
+	n.Cache.FillTLB(tb, ln, s)
+	ln.Unlock()
 	return v
 }
 
@@ -430,17 +427,16 @@ func (n *Node) WriteWord(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
 func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint64) {
 	page := n.Space.PageOf(addr)
 	off := int(addr) & (n.Cache.PageSize - 1)
-	l := n.Cache.LineOf(page)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(page)
+	ln := n.Cache.Line(n.Cache.LineOf(page))
+	ln.Lock()
+	s := ln.Slot(page)
 	if s.Page != page || s.St == cache.Invalid {
 		n.St.ReadMisses.Add(1) // write-allocate: fetch the page first
 		if n.MX != nil {
 			n.Cache.MX.Misses.Inc()
 			n.MX.Pages.ReadMiss(page)
 		}
-		n.fetchLineLocked(p, l, page)
-		s = n.Cache.SlotFor(page)
+		n.fetchLineLocked(p, ln, page)
 	} else {
 		p.Hits++
 		if n.MX != nil {
@@ -456,8 +452,8 @@ func (n *Node) writeWordLocked(p *sim.Proc, tb *cache.TLB, addr mem.Addr, v uint
 	}
 	p.Advance(n.Fab.P.CacheHit)
 	binary.LittleEndian.PutUint64(s.Data[off:], v)
-	n.Cache.FillTLB(tb, l, s)
-	n.Cache.UnlockLine(l)
+	n.Cache.FillTLB(tb, ln, s)
+	ln.Unlock()
 
 	if evict {
 		n.WritebackIfDirty(p, victim)
@@ -539,22 +535,23 @@ func (n *Node) writeMissLocked(p *sim.Proc, s *cache.Slot) (victim int, evict bo
 }
 
 // fetchLineLocked services a miss on page by fetching its whole aligned
-// cache line (prefetching), evicting any conflicting residents. The caller
-// holds the line lock.
-func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
+// cache line ln (prefetching), evicting any conflicting residents. The
+// caller holds the line lock.
+func (n *Node) fetchLineLocked(p *sim.Proc, ln *cache.Line, page int) {
 	base := n.Cache.LineBase(page)
-	slots := n.Cache.SlotsOfLine(l)
+	slots := ln.Slots()
 
 	// The refill mutates slot state and (via conflict eviction) reads slot
 	// data for diffs: invalidate the line's TLB entries and drain fast-path
 	// writers before touching anything.
-	n.Cache.BumpLineGen(l)
+	ln.BumpGen()
 
 	t0 := p.Now()
 	var regs []fabric.AtomicItem
 	pages := make(map[int]int, 4)
 	var fetched []*cache.Slot
-	for i, s := range slots {
+	for i := range slots {
+		s := &slots[i]
 		want := base + i
 		if want >= n.Space.NPages {
 			break
@@ -566,7 +563,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 			// Conflict eviction of a dirty page: downgrade it first. The
 			// slot is about to be reused, so loss detection cannot wait
 			// for the next fence — the downgrade is forced through here.
-			n.writebackUntilDelivered(p, s)
+			n.writebackUntilDelivered(p, ln, s)
 		}
 		if s.Page >= 0 && s.St != cache.Invalid && n.MX != nil {
 			n.Cache.MX.Evictions.Inc()
@@ -609,7 +606,7 @@ func (n *Node) fetchLineLocked(p *sim.Proc, l, page int) {
 	if len(fetched) == 0 {
 		return
 	}
-	n.Cache.MarkLineUsed(l)
+	n.Cache.MarkLineUsed(ln)
 	if len(regs) == 0 {
 		// Re-fetching already-registered pages still refreshes the local
 		// directory-cache view with one atomic (§3.3: a node's view is
@@ -696,35 +693,36 @@ func (n *Node) CrashWipe() {
 // The caller (write-buffer overflow) promised the downgrade happens now, so
 // a lost post is detected and reissued inline rather than at the next fence.
 func (n *Node) WritebackIfDirty(p *sim.Proc, page int) {
-	l := n.Cache.LineOf(page)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(page)
+	ln := n.Cache.Line(n.Cache.LineOf(page))
+	ln.Lock()
+	s := ln.Slot(page)
 	if s.Page == page && s.St == cache.Dirty {
-		n.writebackUntilDelivered(p, s)
+		n.writebackUntilDelivered(p, ln, s)
 	}
-	n.Cache.UnlockLine(l)
+	ln.Unlock()
 }
 
-// writebackSlotLocked transmits a dirty page to its home and, if the posted
-// write was delivered, marks it clean and reports true. With SWDiffSuppress,
-// a node that is still the page's only writer (checked under the home page
-// lock, which makes the race with a concurrent new writer benign — see
-// package directory) sends the full page and skips diff creation; otherwise
-// the changed bytes are diffed against the twin.
+// writebackSlotLocked transmits dirty slot s of line ln (whose lock the
+// caller holds) to its home and, if the posted write was delivered, marks it
+// clean and reports true. With SWDiffSuppress, a node that is still the
+// page's only writer (checked under the home page lock, which makes the race
+// with a concurrent new writer benign — see package directory) sends the
+// full page and skips diff creation; otherwise the changed bytes are diffed
+// against the twin.
 //
 // On a lost post (Corvus drop) the slot stays dirty with its twin intact and
 // WBTries bumped — the next attempt forms a fresh fault identity, and the
 // injector's escalation guarantee bounds the reissues. The home-side diff
 // application is idempotent (same diff against the same twin), so reissuing
 // is safe; under DRF nobody else writes the same bytes between attempts.
-func (n *Node) writebackSlotLocked(p *sim.Proc, s *cache.Slot) bool {
+func (n *Node) writebackSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) bool {
 	page := s.Page
 	home := n.Space.HomeOf(page)
 
 	// The page is about to turn clean and its data is about to be read for
 	// the diff: invalidate TLB entries and drain fast-path writers so every
 	// store that validated against the old generation is included.
-	n.Cache.BumpLineGen(n.Cache.LineOf(page))
+	ln.BumpGen()
 
 	var preferFull func() bool
 	if n.Opt.SWDiffSuppress && n.Opt.Mode == ModePS3 {
@@ -771,8 +769,8 @@ func (n *Node) wbRetryPenalty(p *sim.Proc, failed, pass int) {
 // writebackUntilDelivered forces a downgrade through, paying detection and
 // backoff inline. Used where the slot is immediately reused (conflict
 // eviction) or delivery was promised (write-buffer overflow).
-func (n *Node) writebackUntilDelivered(p *sim.Proc, s *cache.Slot) {
-	for pass := 0; !n.writebackSlotLocked(p, s); pass++ {
+func (n *Node) writebackUntilDelivered(p *sim.Proc, ln *cache.Line, s *cache.Slot) {
+	for pass := 0; !n.writebackSlotLocked(p, ln, s); pass++ {
 		n.wbRetryPenalty(p, 1, pass)
 	}
 }
@@ -783,8 +781,8 @@ func (n *Node) writebackUntilDelivered(p *sim.Proc, s *cache.Slot) {
 // without an active agent. The wire transfer is not charged here — on the
 // paper's naive scheme the data would move only when a consumer pulls it,
 // and the consumer pays a full page fetch either way.
-func (n *Node) checkpointSlotLocked(p *sim.Proc, s *cache.Slot) {
-	n.Cache.BumpLineGen(n.Cache.LineOf(s.Page)) // Dirty→Clean: drain fast writers
+func (n *Node) checkpointSlotLocked(p *sim.Proc, ln *cache.Line, s *cache.Slot) {
+	ln.BumpGen() // Dirty→Clean: drain fast writers
 	p.Advance(n.Opt.CheckpointPageCost + n.Fab.P.CopyCost(n.Cache.PageSize))
 	n.St.Checkpoints.Add(1)
 	n.ev(p, trace.EvCheckpoint, s.Page, 0)
@@ -829,9 +827,11 @@ func ShouldSelfInvalidate(m Mode, e directory.Entry, self int) bool {
 // reset at the end of a program's initialization phase, and by decay-style
 // adaptive reclassification. The caller must have quiesced all threads.
 func (n *Node) ResetForPhase() {
-	n.Cache.ForEachUsedLine(func(l int, slots []*cache.Slot) {
-		n.Cache.BumpLineGen(l)
-		for _, s := range slots {
+	n.Cache.ForEachUsedLine(func(ln *cache.Line) {
+		ln.BumpGen()
+		slots := ln.Slots()
+		for i := range slots {
+			s := &slots[i]
 			if s.Page >= 0 && s.St == cache.Dirty {
 				// Diff against the twin so concurrent dirty copies of the
 				// same page on other nodes (false sharing during the init

@@ -95,13 +95,13 @@ func TestWriteMissCreatesTwinAndRegisters(t *testing.T) {
 		t.Fatal("writer not registered")
 	}
 	n := r.nodes[0]
-	l := n.Cache.LineOf(5)
-	n.Cache.LockLine(l)
-	s := n.Cache.SlotFor(5)
+	ln := n.Cache.Line(n.Cache.LineOf(5))
+	ln.Lock()
+	s := ln.Slot(5)
 	if s.St != cache.Dirty || s.Twin == nil {
 		t.Fatalf("write miss state: %v twin=%v", s.St, s.Twin != nil)
 	}
-	n.Cache.UnlockLine(l)
+	ln.Unlock()
 	// Second write to the same page: no second registration or twin.
 	dirOps := r.fab.NodeStats(0).DirOps.Load()
 	r.write64(0, 5*4096+16, 10)

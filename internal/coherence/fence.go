@@ -72,7 +72,7 @@ func (n *Node) sweepWorkers(nl int) int {
 // advances): anything that orders against other nodes' clocks — NIC
 // occupancy, posted writes — belongs to the burst phase on p, or replay
 // determinism is lost.
-func (n *Node) parallelSweep(p *sim.Proc, lines []int, nw int, shard func(w int, wp *sim.Proc, lines []int)) {
+func (n *Node) parallelSweep(p *sim.Proc, lines []*cache.Line, nw int, shard func(w int, wp *sim.Proc, lines []*cache.Line)) {
 	if nw == 1 {
 		shard(0, p, lines)
 		return
@@ -84,11 +84,11 @@ func (n *Node) parallelSweep(p *sim.Proc, lines []int, nw int, shard func(w int,
 		wp := &sim.Proc{Node: p.Node, Socket: p.Socket, Core: p.Core}
 		wp.SetNow(p.Now())
 		procs[w] = wp
-		sub := make([]int, 0, (len(lines)-w+nw-1)/nw)
+		sub := make([]*cache.Line, 0, (len(lines)-w+nw-1)/nw)
 		for i := w; i < len(lines); i += nw {
 			sub = append(sub, lines[i])
 		}
-		go func(w int, wp *sim.Proc, sub []int) {
+		go func(w int, wp *sim.Proc, sub []*cache.Line) {
 			defer wg.Done()
 			shard(w, wp, sub)
 		}(w, wp, sub)
@@ -113,12 +113,12 @@ type burstItem struct {
 // memory and marking the slot clean — and returns the burst item that will
 // pay for the wire transfer. The caller holds the line lock. This is
 // writebackSlotLocked with the posted write split off into the fence's burst.
-func (n *Node) downgradeSlotLocked(wp *sim.Proc, s *cache.Slot) burstItem {
+func (n *Node) downgradeSlotLocked(wp *sim.Proc, ln *cache.Line, s *cache.Slot) burstItem {
 	page := s.Page
 	// Dirty→Clean: invalidate the line's TLB entries and drain lock-free
 	// writers before the diff reads the data, so no fast-path store that
 	// validated against the old generation can be missed (see cache/tlb.go).
-	n.Cache.BumpLineGen(n.Cache.LineOf(page))
+	ln.BumpGen()
 	var preferFull func() bool
 	if n.Opt.SWDiffSuppress && n.Opt.Mode == ModePS3 {
 		preferFull = func() bool {
@@ -205,7 +205,7 @@ func (n *Node) SIFence(p *sim.Proc) {
 	lines := n.Cache.UsedLines()
 	nw := n.sweepWorkers(len(lines))
 	shards := make([]siShard, nw)
-	n.parallelSweep(p, lines, nw, func(w int, wp *sim.Proc, sub []int) {
+	n.parallelSweep(p, lines, nw, func(w int, wp *sim.Proc, sub []*cache.Line) {
 		n.siSweepShard(wp, sub, &shards[w])
 	})
 	n.Cache.CompactUsedList()
@@ -234,22 +234,25 @@ func (n *Node) SIFence(p *sim.Proc) {
 // resident pages, batch the classification lookups with one CachedMany, then
 // invalidate (downgrading first where dirty) the pages the classification
 // cannot exempt.
-func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
+func (n *Node) siSweepShard(wp *sim.Proc, lines []*cache.Line, out *siShard) {
 	type ref struct {
-		s          *cache.Slot
-		line, page int
+		ln   *cache.Line
+		s    *cache.Slot
+		page int
 	}
 	var refs []ref
-	for _, l := range lines {
-		n.Cache.LockLine(l)
-		for _, s := range n.Cache.SlotsOfLine(l) {
+	for _, ln := range lines {
+		ln.Lock()
+		slots := ln.Slots()
+		for i := range slots {
+			s := &slots[i]
 			if s.Page < 0 || s.St == cache.Invalid {
 				continue
 			}
 			wp.Advance(n.Opt.FencePerPage)
-			refs = append(refs, ref{s, l, s.Page})
+			refs = append(refs, ref{ln, s, s.Page})
 		}
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 	}
 	if len(refs) == 0 {
 		return
@@ -261,10 +264,10 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 	entries := make([]directory.Entry, len(refs))
 	n.Dir.CachedMany(n.ID, pages, entries)
 	for i := 0; i < len(refs); {
-		l := refs[i].line
+		ln := refs[i].ln
 		bumped := false
-		n.Cache.LockLine(l)
-		for ; i < len(refs) && refs[i].line == l; i++ {
+		ln.Lock()
+		for ; i < len(refs) && refs[i].ln == ln; i++ {
 			s := refs[i].s
 			if s.Page != refs[i].page || s.St == cache.Invalid {
 				continue // replaced between snapshot and act: post-fence state
@@ -279,11 +282,11 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 				// Lazy per-line TLB shoot-down: only lines that actually
 				// invalidate something pay the generation bump, so exempted
 				// (kept) pages keep their fast-path entries across the fence.
-				n.Cache.BumpLineGen(l)
+				ln.BumpGen()
 				bumped = true
 			}
 			if s.St == cache.Dirty {
-				out.items = append(out.items, n.downgradeSlotLocked(wp, s))
+				out.items = append(out.items, n.downgradeSlotLocked(wp, ln, s))
 			}
 			n.ev(wp, trace.EvInvalidate, s.Page, 0)
 			if n.MX != nil {
@@ -293,8 +296,8 @@ func (n *Node) siSweepShard(wp *sim.Proc, lines []int, out *siShard) {
 			n.St.SelfInvalidations.Add(1)
 			out.inv++
 		}
-		n.Cache.RetireLineIfEmpty(l)
-		n.Cache.UnlockLine(l)
+		n.Cache.RetireLineIfEmpty(ln)
+		ln.Unlock()
 	}
 }
 
@@ -316,7 +319,7 @@ func (n *Node) SDFence(p *sim.Proc) {
 	lines := n.Cache.UsedLines()
 	nw := n.sweepWorkers(len(lines))
 	shards := make([][]burstItem, nw)
-	n.parallelSweep(p, lines, nw, func(w int, wp *sim.Proc, sub []int) {
+	n.parallelSweep(p, lines, nw, func(w int, wp *sim.Proc, sub []*cache.Line) {
 		shards[w] = n.sdSweepShard(wp, sub)
 	})
 	n.Cache.WBClear()
@@ -339,24 +342,26 @@ func (n *Node) SDFence(p *sim.Proc) {
 
 // sdSweepShard sweeps one worker's share of the used lines, downgrading
 // every dirty page (checkpointing private ones in the naive P/S mode).
-func (n *Node) sdSweepShard(wp *sim.Proc, lines []int) []burstItem {
+func (n *Node) sdSweepShard(wp *sim.Proc, lines []*cache.Line) []burstItem {
 	var items []burstItem
-	for _, l := range lines {
-		n.Cache.LockLine(l)
-		for _, s := range n.Cache.SlotsOfLine(l) {
+	for _, ln := range lines {
+		ln.Lock()
+		slots := ln.Slots()
+		for i := range slots {
+			s := &slots[i]
 			if s.Page < 0 || s.St != cache.Dirty {
 				continue
 			}
 			if n.Opt.Mode == ModePS {
 				e := n.Dir.Cached(n.ID, s.Page)
 				if e.R.Count() <= 1 {
-					n.checkpointSlotLocked(wp, s)
+					n.checkpointSlotLocked(wp, ln, s)
 					continue
 				}
 			}
-			items = append(items, n.downgradeSlotLocked(wp, s))
+			items = append(items, n.downgradeSlotLocked(wp, ln, s))
 		}
-		n.Cache.UnlockLine(l)
+		ln.Unlock()
 	}
 	return items
 }

@@ -200,10 +200,10 @@ func TestRecycledTwinsNeverShared(t *testing.T) {
 	n := r.nodes[0]
 	pages := manyPages(300)
 	twinOf := func(pg int) *byte {
-		l := n.Cache.LineOf(pg)
-		n.Cache.LockLine(l)
-		defer n.Cache.UnlockLine(l)
-		if s := n.Cache.SlotFor(pg); s.Page == pg && s.St == cache.Dirty {
+		ln := n.Cache.Line(n.Cache.LineOf(pg))
+		ln.Lock()
+		defer ln.Unlock()
+		if s := ln.Slot(pg); s.Page == pg && s.St == cache.Dirty {
 			return &s.Twin[0]
 		}
 		return nil

@@ -301,10 +301,10 @@ func TestBulkReadsNeverPublish(t *testing.T) {
 		}
 	})
 	n.ReadWord(r.procs[0], tbs[0], 3*4096)
-	l := n.Cache.LineOf(3)
-	n.Cache.LockLine(l)
-	published := n.Cache.SlotFor(3).Published
-	n.Cache.UnlockLine(l)
+	ln := n.Cache.Line(n.Cache.LineOf(3))
+	ln.Lock()
+	published := ln.Slot(3).Published
+	ln.Unlock()
 	if !published {
 		t.Fatal("a word read filled the TLB without publishing the slot")
 	}

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"argo/internal/chunk"
 	"argo/internal/fabric"
 	"argo/internal/sim"
 )
@@ -85,15 +86,19 @@ func (e Entry) Classify() Classification {
 const stripeCount = 1024
 
 // Directory is the Pyxis instance of one cluster: home-truth entries for
-// every global page plus each node's passive directory cache.
+// every global page plus each node's passive directory cache. Both are
+// full-map tables over all pages, materialized chunk by chunk as pages are
+// registered (package chunk): an entry nobody registered is the zero Entry
+// and costs nothing. Entries are read and written under their page's
+// stripe lock; chunk materialization never takes a stripe lock.
 type Directory struct {
 	fab    *fabric.Fabric
 	npages int
 	homeOf func(page int) int
 
 	stripes [stripeCount]sync.Mutex
-	entries []Entry   // home truth, indexed by global page
-	caches  [][]Entry // [node][page] cached copies
+	entries chunk.Table[Entry]   // home truth, indexed by global page
+	caches  []chunk.Table[Entry] // [node][page] cached copies
 
 	// Cygnus dead-node mask: bits of excised members, cleared lazily from
 	// the full-maps at classification lookups instead of by an eager sweep
@@ -110,14 +115,14 @@ func New(fab *fabric.Fabric, npages int, homeOf func(int) int) *Directory {
 		panic(fmt.Sprintf("directory: at most %d nodes supported, got %d", MaxNodes, fab.Topo.Nodes))
 	}
 	d := &Directory{
-		fab:     fab,
-		npages:  npages,
-		homeOf:  homeOf,
-		entries: make([]Entry, npages),
-		caches:  make([][]Entry, fab.Topo.Nodes),
+		fab:    fab,
+		npages: npages,
+		homeOf: homeOf,
+		caches: make([]chunk.Table[Entry], fab.Topo.Nodes),
 	}
+	d.entries.Init(npages, nil)
 	for n := range d.caches {
-		d.caches[n] = make([]Entry, npages)
+		d.caches[n].Init(npages, nil)
 	}
 	return d
 }
@@ -140,25 +145,26 @@ func (d *Directory) RegisterReaderBatched(page, node int) Entry {
 	return d.registerReader(page, node)
 }
 
-// scrubLocked lazily clears excised nodes' bits from page's home truth.
-// The caller must hold page's stripe lock. Returns the scrubbed entry.
+// scrubLocked lazily clears excised nodes' bits from home-truth entry h.
+// The caller must hold h's stripe lock. Returns the scrubbed entry.
 // This is Cygnus's lazy full-map repair: dead bits rot in place and are
 // erased the next time the page's classification is consulted, so excision
 // costs nothing on pages nobody touches again.
-func (d *Directory) scrubLocked(page int) Entry {
+func (d *Directory) scrubLocked(h *Entry) Entry {
 	if d.hasDead.Load() {
-		d.entries[page].R.AndNot(d.dead)
-		d.entries[page].W.AndNot(d.dead)
+		h.R.AndNot(d.dead)
+		h.W.AndNot(d.dead)
 	}
-	return d.entries[page]
+	return *h
 }
 
 func (d *Directory) registerReader(page, node int) Entry {
 	mu := d.lock(page)
 	mu.Lock()
-	old := d.scrubLocked(page)
-	d.entries[page].R.Set(node)
-	d.caches[node][page] = d.entries[page]
+	h := d.entries.At(page)
+	old := d.scrubLocked(h)
+	h.R.Set(node)
+	*d.caches[node].At(page) = *h
 	mu.Unlock()
 	return old
 }
@@ -170,10 +176,11 @@ func (d *Directory) RegisterWriter(p *sim.Proc, page, node int) Entry {
 	d.fab.RemoteAtomic(p, d.homeOf(page), uint64(page))
 	mu := d.lock(page)
 	mu.Lock()
-	old := d.scrubLocked(page)
-	d.entries[page].R.Set(node)
-	d.entries[page].W.Set(node)
-	d.caches[node][page] = d.entries[page]
+	h := d.entries.At(page)
+	old := d.scrubLocked(h)
+	h.R.Set(node)
+	h.W.Set(node)
+	*d.caches[node].At(page) = *h
 	mu.Unlock()
 	return old
 }
@@ -190,23 +197,33 @@ func (d *Directory) Notify(p *sim.Proc, page, target int) {
 	d.fab.NodeStats(p.Node).DirNotifies.Add(1)
 	mu := d.lock(page)
 	mu.Lock()
-	d.caches[target][page] = d.entries[page]
+	*d.caches[target].At(page) = *d.entries.At(page)
 	mu.Unlock()
 }
 
 // Cached returns node's current cached copy of page's entry. Reading the
-// local directory cache costs nothing on the network.
+// local directory cache costs nothing on the network. A page the node never
+// learned about reads as the zero Entry and allocates nothing.
 func (d *Directory) Cached(node, page int) Entry {
 	mu := d.lock(page)
 	mu.Lock()
-	e := d.caches[node][page]
-	if d.hasDead.Load() {
-		e.R.AndNot(d.dead)
-		e.W.AndNot(d.dead)
-		d.caches[node][page] = e
-	}
+	e := d.cachedLocked(node, page)
 	mu.Unlock()
 	return e
+}
+
+// cachedLocked is Cached with page's stripe lock held: it scrubs dead
+// nodes' bits from a materialized copy in place.
+func (d *Directory) cachedLocked(node, page int) Entry {
+	c := d.caches[node].Peek(page)
+	if c == nil {
+		return Entry{}
+	}
+	if d.hasDead.Load() {
+		c.R.AndNot(d.dead)
+		c.W.AndNot(d.dead)
+	}
+	return *c
 }
 
 // CachedMany fills out[i] with node's cached entry of pages[i], taking each
@@ -233,19 +250,12 @@ func (d *Directory) CachedMany(node int, pages []int, out []Entry) {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return pages[idx[a]]%stripeCount < pages[idx[b]]%stripeCount
 	})
-	cached := d.caches[node]
-	scrub := d.hasDead.Load()
 	for i := 0; i < k; {
 		s := pages[idx[i]] % stripeCount
 		mu := &d.stripes[s]
 		mu.Lock()
 		for i < k && pages[idx[i]]%stripeCount == s {
-			pg := pages[idx[i]]
-			if scrub {
-				cached[pg].R.AndNot(d.dead)
-				cached[pg].W.AndNot(d.dead)
-			}
-			out[idx[i]] = cached[pg]
+			out[idx[i]] = d.cachedLocked(node, pages[idx[i]])
 			i++
 		}
 		mu.Unlock()
@@ -256,7 +266,10 @@ func (d *Directory) CachedMany(node int, pages []int, out []Entry) {
 func (d *Directory) Home(page int) Entry {
 	mu := d.lock(page)
 	mu.Lock()
-	e := d.scrubLocked(page)
+	var e Entry
+	if h := d.entries.Peek(page); h != nil {
+		e = d.scrubLocked(h)
+	}
 	mu.Unlock()
 	return e
 }
@@ -277,18 +290,19 @@ func (d *Directory) SetDead(node int) {
 
 // ClearCache wipes node's passive directory cache — the volatile state a
 // crashing node loses. A restarted node re-learns classifications through
-// fresh registrations.
+// fresh registrations. Only materialized chunks are cleared (in place:
+// chunks are never freed).
 func (d *Directory) ClearCache(node int) {
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Lock()
 	}
-	for i := range d.caches[node] {
-		d.caches[node][i] = Entry{}
-	}
+	d.caches[node].Range(clearEntries)
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Unlock()
 	}
 }
+
+func clearEntries(_ int, es []Entry) { clear(es) }
 
 // ClearDeadBit removes node from the dead-node mask (crash-restart: the
 // node rejoins and its fresh registrations must survive scrubbing). Any
@@ -318,6 +332,17 @@ func (d *Directory) ClearDead() {
 	}
 }
 
+// MaterializedChunks returns how many chunks of the home-truth table and
+// of all directory caches have been allocated (tests and the
+// cost-of-construction checks).
+func (d *Directory) MaterializedChunks() int {
+	n := d.entries.Materialized()
+	for i := range d.caches {
+		n += d.caches[i].Materialized()
+	}
+	return n
+}
+
 // NPages returns the number of pages tracked.
 func (d *Directory) NPages() int { return d.npages }
 
@@ -329,13 +354,9 @@ func (d *Directory) Reset() {
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Lock()
 	}
-	for i := range d.entries {
-		d.entries[i] = Entry{}
-	}
+	d.entries.Range(clearEntries)
 	for n := range d.caches {
-		for i := range d.caches[n] {
-			d.caches[n][i] = Entry{}
-		}
+		d.caches[n].Range(clearEntries)
 	}
 	for i := 0; i < stripeCount; i++ {
 		d.stripes[i].Unlock()

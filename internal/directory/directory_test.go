@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"argo/internal/chunk"
 	"argo/internal/fabric"
 	"argo/internal/sim"
 )
@@ -320,4 +321,92 @@ func TestCachedManyMatchesCached(t *testing.T) {
 		}
 	}
 	d.CachedMany(0, nil, nil)
+}
+
+// Lookups of pages nobody registered read the zero Entry and allocate
+// nothing, down to the table chunks; Reset and ClearCache walk only the
+// chunks registrations materialized.
+func TestUntouchedPagesCostNothing(t *testing.T) {
+	d := New(testFabric(4), 64*chunk.Size, func(pg int) int { return pg % 4 })
+	pages := []int{5, 3 * chunk.Size, 40*chunk.Size + 1}
+	out := make([]Entry, len(pages))
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, pg := range pages {
+			if d.Cached(2, pg) != (Entry{}) || d.Home(pg) != (Entry{}) {
+				t.Fatalf("untouched page %d has an entry", pg)
+			}
+		}
+	})
+	d.CachedMany(1, pages, out)
+	if allocs != 0 || d.MaterializedChunks() != 0 {
+		t.Fatalf("lookups allocated %v objects and %d chunks", allocs, d.MaterializedChunks())
+	}
+	for i, e := range out {
+		if e != (Entry{}) {
+			t.Fatalf("CachedMany[%d] = %+v for an untouched page", i, e)
+		}
+	}
+	d.RegisterWriter(proc(1), 3*chunk.Size, 1)
+	d.Notify(proc(1), 3*chunk.Size, 2)
+	// Home truth, node 1's cache and node 2's notified cache: one chunk each.
+	if n := d.MaterializedChunks(); n != 3 {
+		t.Fatalf("one registration and one notification materialized %d chunks, want 3", n)
+	}
+	d.SetDead(3)
+	if d.Cached(0, 3*chunk.Size) != (Entry{}) || d.MaterializedChunks() != 3 {
+		t.Fatal("a scrubbing lookup of an untouched cache materialized it")
+	}
+	d.ClearCache(2)
+	if !d.Cached(2, 3*chunk.Size).R.Empty() || d.Cached(1, 3*chunk.Size).R.Empty() {
+		t.Fatal("ClearCache cleared the wrong node's cache")
+	}
+	d.Reset()
+	if d.Home(3*chunk.Size) != (Entry{}) || d.Cached(1, 3*chunk.Size) != (Entry{}) {
+		t.Fatal("Reset left entries")
+	}
+	if n := d.MaterializedChunks(); n != 3 {
+		t.Fatalf("ClearCache and Reset changed materialized chunks to %d, want 3", n)
+	}
+}
+
+// Nodes registering different pages of one untouched chunk at once race to
+// materialize the home-truth chunk; no registration is lost (run under
+// -race).
+func TestConcurrentFirstTouchSameChunk(t *testing.T) {
+	const nodes = 8
+	d := New(testFabric(nodes), 4*chunk.Size, func(pg int) int { return pg % nodes })
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for node := 0; node < nodes; node++ {
+		wg.Add(1)
+		go func(node int) {
+			defer wg.Done()
+			p := proc(node)
+			<-start
+			for i := 0; i < chunk.Size; i++ {
+				j := (i + node*5) % chunk.Size
+				pg := 2*chunk.Size + j
+				d.RegisterReader(p, pg, node)
+				if node == j%nodes {
+					d.RegisterWriter(p, pg, node)
+				}
+			}
+		}(node)
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < chunk.Size; i++ {
+		pg := 2*chunk.Size + i
+		e := d.Home(pg)
+		if e.R.Count() != nodes || !e.W.Only(i%nodes) {
+			t.Fatalf("page %d: R=%v W=%v", pg, e.R, e.W)
+		}
+		if c := d.Cached(i%nodes, pg); !c.W.Has(i % nodes) {
+			t.Fatalf("page %d: writer's cached copy %+v", pg, c)
+		}
+	}
+	// The home truth and each node's cache: one chunk each.
+	if n := d.MaterializedChunks(); n != 1+nodes {
+		t.Fatalf("%d chunks materialized, want %d", n, 1+nodes)
+	}
 }

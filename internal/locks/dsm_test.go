@@ -179,3 +179,33 @@ func TestGlobalTicketLockNoFences(t *testing.T) {
 		t.Fatalf("bare ticket lock fenced: SI=%d SD=%d", s.SIFences, s.SDFences)
 	}
 }
+
+// The HQDL node queue is reused across batches: once every helper has
+// drained its batch the queue is rewound to empty, keeps its backing array,
+// and holds no executed section's closure.
+func TestHQDLQueueRewoundAfterBatches(t *testing.T) {
+	c := dsmCluster(2)
+	slot := c.AllocI64(1)
+	l := NewHQDLock(c)
+	const tpn, iters = 4, 50
+	c.Run(tpn, func(th *core.Thread) {
+		for k := 0; k < iters; k++ {
+			l.DelegateWait(th, func(h *core.Thread) {
+				h.SetI64(slot, 0, h.GetI64(slot, 0)+1)
+			})
+		}
+	})
+	if got := c.DumpI64(slot)[0]; got != 2*tpn*iters {
+		t.Fatalf("counter = %d, want %d", got, 2*tpn*iters)
+	}
+	for n, nq := range l.nodes {
+		if nq.held || len(nq.queue) != 0 || nq.head != 0 {
+			t.Fatalf("node %d queue not rewound: held=%v len=%d head=%d", n, nq.held, len(nq.queue), nq.head)
+		}
+		for i, e := range nq.queue[:cap(nq.queue)] {
+			if e.section != nil || e.done != nil {
+				t.Fatalf("node %d queue slot %d still holds an executed section", n, i)
+			}
+		}
+	}
+}

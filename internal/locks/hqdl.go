@@ -53,7 +53,11 @@ type nodeQueue struct {
 	mu    sync.Mutex
 	held  bool
 	qOpen bool
+	// queue[head:] are the delegated sections not yet pulled. The helper
+	// pops by advancing head and rewinds the slice once the batch has
+	// drained, so the backing array is reused batch after batch.
 	queue []hqEntry
+	head  int
 	h     holder
 }
 
@@ -128,7 +132,7 @@ func (l *HQDLock) delegate(t *core.Thread, section func(h *core.Thread), wait bo
 			l.runHelper(t, nq, section)
 			return nil
 		}
-		if nq.qOpen && len(nq.queue) < l.BatchLimit {
+		if nq.qOpen && len(nq.queue)-nq.head < l.BatchLimit {
 			e := hqEntry{section: section, enqAt: t.P.Now() + l.EnqueueCost}
 			if sr := l.c.SR; sr != nil {
 				e.key = l.global.key<<32 | l.seq.Add(1)
@@ -176,9 +180,10 @@ func (l *HQDLock) runHelper(t *core.Thread, nq *nodeQueue, own func(h *core.Thre
 		// enqueue while the helper is "busy" (few-CPU interleaving).
 		runtime.Gosched()
 		nq.mu.Lock()
-		if len(nq.queue) == 0 || count >= l.BatchLimit {
-			rest := nq.queue
-			nq.queue = nil
+		if nq.head == len(nq.queue) || count >= l.BatchLimit {
+			// Closing the queue freezes it: nobody appends until the next
+			// helper opens it, which waits for held to clear below.
+			rest := nq.queue[nq.head:]
 			nq.qOpen = false
 			nq.mu.Unlock()
 			for _, e := range rest {
@@ -187,8 +192,8 @@ func (l *HQDLock) runHelper(t *core.Thread, nq *nodeQueue, own func(h *core.Thre
 			sections += len(rest)
 			break
 		}
-		e := nq.queue[0]
-		nq.queue = nq.queue[1:]
+		e := nq.queue[nq.head]
+		nq.head++
 		nq.mu.Unlock()
 		l.execute(t, e)
 		sections++
@@ -205,6 +210,8 @@ func (l *HQDLock) runHelper(t *core.Thread, nq *nodeQueue, own func(h *core.Thre
 	l.global.Unlock(t)
 
 	nq.mu.Lock()
+	clear(nq.queue) // drop the executed sections' closures
+	nq.queue, nq.head = nq.queue[:0], 0
 	nq.held = false
 	nq.h.released(t.P)
 	nq.mu.Unlock()

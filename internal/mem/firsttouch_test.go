@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"argo/internal/chunk"
 )
 
 var policies = []Policy{Interleaved, Blocked}
@@ -13,11 +15,13 @@ var policies = []Policy{Interleaved, Blocked}
 // materialized lists the pages that own backing bytes.
 func materialized(s *Space) []int {
 	var out []int
-	for p, pg := range s.pages {
-		if pg != nil {
-			out = append(out, p)
+	s.pages.Range(func(base int, c []homePage) {
+		for i := range c {
+			if c[i].data != nil {
+				out = append(out, base+i)
+			}
 		}
-	}
+	})
 	return out
 }
 
@@ -49,6 +53,9 @@ func TestUnwrittenPageReadsZero(t *testing.T) {
 			}
 			if m := materialized(s); m != nil {
 				t.Fatalf("reads allocated pages %v", m)
+			}
+			if n := s.MaterializedChunks(); n != 0 {
+				t.Fatalf("reads materialized %d page-table chunks", n)
 			}
 		})
 	}
@@ -128,5 +135,52 @@ func TestConcurrentFirstWrites(t *testing.T) {
 				t.Fatalf("materialized %v, want [1]", m)
 			}
 		})
+	}
+}
+
+// Writers first-touching different pages of one page-table chunk race to
+// materialize the chunk while readers of its other pages read zeros; every
+// write survives and only the written pages own bytes (run under -race).
+func TestConcurrentFirstTouchSameChunk(t *testing.T) {
+	const pages = chunk.Size
+	s := NewSpace(2, 2*pages*4096, 4096, Interleaved)
+	zero := make([]byte, 4096)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < pages/2; w++ {
+		wg.Add(2)
+		go func(pg int) {
+			defer wg.Done()
+			data := make([]byte, 4096)
+			data[pg] = byte(pg + 1)
+			<-start
+			s.ApplyDiff(pages+pg, data, zero)
+		}(2 * w)
+		go func(pg int) {
+			defer wg.Done()
+			dst := make([]byte, 4096)
+			<-start
+			s.ReadPage(pages+pg, dst)
+			if !bytes.Equal(dst, zero) {
+				t.Errorf("unwritten page %d read nonzero", pages+pg)
+			}
+		}(2*w + 1)
+	}
+	close(start)
+	wg.Wait()
+	var want []int
+	for pg := 0; pg < pages; pg += 2 {
+		want = append(want, pages+pg)
+		got := make([]byte, 4096)
+		s.ReadPage(pages+pg, got)
+		if got[pg] != byte(pg+1) {
+			t.Fatalf("page %d lost its write", pages+pg)
+		}
+	}
+	if m := materialized(s); !reflect.DeepEqual(m, want) {
+		t.Fatalf("materialized %v, want %v", m, want)
+	}
+	if n := s.MaterializedChunks(); n != 1 {
+		t.Fatalf("%d page-table chunks materialized, want 1", n)
 	}
 }

@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"argo/internal/chunk"
 )
 
 // Addr is a byte offset into the global address space.
@@ -59,10 +61,19 @@ type Space struct {
 
 	pageShift uint // log2(PageSize); PageSize is a power of two
 
-	pages    [][]byte       // per global page, backing storage; nil until first written
-	locks    []sync.RWMutex // per global page
-	cursor   atomic.Int64   // bump allocator
+	// pages is the home page table, materialized chunk by chunk on first
+	// write (package chunk): an untouched page costs neither its bytes
+	// nor its table entry.
+	pages    chunk.Table[homePage]
+	cursor   atomic.Int64 // bump allocator
 	capacity int64
+}
+
+// homePage is one page-table entry: the page's DMA lock and its backing
+// bytes, nil until first written.
+type homePage struct {
+	mu   sync.RWMutex
+	data []byte
 }
 
 // NewSpace creates a global address space of totalBytes bytes (rounded up to
@@ -78,16 +89,16 @@ func NewSpace(nodes int, totalBytes int64, pageSize int, policy Policy) *Space {
 	if np == 0 {
 		np = 1
 	}
-	return &Space{
+	s := &Space{
 		PageSize:  pageSize,
 		NPages:    np,
 		Nodes:     nodes,
 		Policy:    policy,
 		pageShift: uint(bits.TrailingZeros(uint(pageSize))),
-		pages:     make([][]byte, np),
-		locks:     make([]sync.RWMutex, np),
 		capacity:  int64(np) * int64(pageSize),
 	}
+	s.pages.Init(np, nil)
+	return s
 }
 
 // Capacity returns the size of the space in bytes.
@@ -159,15 +170,20 @@ func (s *Space) ResetAlloc() { s.cursor.Store(0) }
 func (s *Space) ReadPage(p int, dst []byte) { s.ReadAt(p, 0, dst) }
 
 // ReadAt copies page p's home content from byte off on into dst, up to the
-// end of the page. An unwritten page reads as zeros and stays unallocated.
+// end of the page. An unwritten page reads as zeros and stays unallocated,
+// down to its page-table chunk.
 func (s *Space) ReadAt(p, off int, dst []byte) {
-	s.locks[p].RLock()
-	if src := s.pages[p]; src != nil {
-		copy(dst, src[off:])
-	} else {
-		clear(dst[:min(len(dst), s.PageSize-off)])
+	hp := s.pages.Peek(p)
+	if hp != nil {
+		hp.mu.RLock()
+		if src := hp.data; src != nil {
+			copy(dst, src[off:])
+			hp.mu.RUnlock()
+			return
+		}
+		hp.mu.RUnlock()
 	}
-	s.locks[p].RUnlock()
+	clear(dst[:min(len(dst), s.PageSize-off)])
 }
 
 // ReadPageWords is ReadPage with the destination stores performed as
@@ -178,8 +194,13 @@ func (s *Space) ReadAt(p, off int, dst []byte) {
 // race-detector-clean. dst must be 8-byte aligned with len(dst)%8 == 0; the
 // caller uses ReadPage otherwise. An unwritten page stores zeros.
 func (s *Space) ReadPageWords(p int, dst []byte) {
-	s.locks[p].RLock()
-	src := s.pages[p]
+	var src []byte
+	hp := s.pages.Peek(p)
+	if hp != nil {
+		hp.mu.RLock()
+		defer hp.mu.RUnlock()
+		src = hp.data
+	}
 	n := min(s.PageSize, len(dst))
 	for i := 0; i+8 <= n; i += 8 {
 		var w uint64
@@ -188,24 +209,25 @@ func (s *Space) ReadPageWords(p int, dst []byte) {
 		}
 		atomic.StoreUint64((*uint64)(unsafe.Pointer(&dst[i])), w)
 	}
-	s.locks[p].RUnlock()
 }
 
-// homeLocked returns page p's backing bytes, allocating them on first
-// touch. The caller holds s.locks[p] for writing.
-func (s *Space) homeLocked(p int) []byte {
-	if s.pages[p] == nil {
-		s.pages[p] = make([]byte, s.PageSize)
+// lockHome returns page p's page-table entry, write-locked, with its
+// backing bytes allocated (first touch).
+func (s *Space) lockHome(p int) *homePage {
+	hp := s.pages.At(p)
+	hp.mu.Lock()
+	if hp.data == nil {
+		hp.data = make([]byte, s.PageSize)
 	}
-	return s.pages[p]
+	return hp
 }
 
 // WritePageFull overwrites page p's home content with src. Used for
 // initialization and for the single-writer full-page downgrade optimization.
 func (s *Space) WritePageFull(p int, src []byte) {
-	s.locks[p].Lock()
-	copy(s.homeLocked(p), src)
-	s.locks[p].Unlock()
+	hp := s.lockHome(p)
+	copy(hp.data, src)
+	hp.mu.Unlock()
 }
 
 // Writeback downgrades a dirty cached page to its home. While holding the
@@ -215,9 +237,9 @@ func (s *Space) WritePageFull(p int, src []byte) {
 // registration), otherwise only the bytes differing from twin are applied.
 // It returns the number of bytes transmitted and which path was taken.
 func (s *Space) Writeback(p int, data, twin []byte, preferFull func() bool) (tx int, full bool) {
-	s.locks[p].Lock()
-	defer s.locks[p].Unlock()
-	home := s.homeLocked(p)
+	hp := s.lockHome(p)
+	defer hp.mu.Unlock()
+	home := hp.data
 	if preferFull != nil && preferFull() {
 		copy(home, data)
 		return len(data), true
@@ -297,9 +319,9 @@ func diffScan(home, data, twin []byte) int {
 // that would travel on the wire: the changed bytes plus an 8-byte run header
 // per contiguous changed run (the diff encoding of Keleher et al.).
 func (s *Space) ApplyDiff(p int, data, twin []byte) int {
-	s.locks[p].Lock()
-	tx := diffScan(s.homeLocked(p), data, twin)
-	s.locks[p].Unlock()
+	hp := s.lockHome(p)
+	tx := diffScan(hp.data, data, twin)
+	hp.mu.Unlock()
 	return tx
 }
 
@@ -315,7 +337,11 @@ func DiffSize(data, twin []byte) int {
 // verification snapshots taken while no simulated thread runs. Readers that
 // must not allocate use ReadAt.
 func (s *Space) HomeBytes(p int) []byte {
-	s.locks[p].Lock()
-	defer s.locks[p].Unlock()
-	return s.homeLocked(p)
+	hp := s.lockHome(p)
+	defer hp.mu.Unlock()
+	return hp.data
 }
+
+// MaterializedChunks returns how many chunks of the home page table have
+// been allocated (tests and the cost-of-construction checks).
+func (s *Space) MaterializedChunks() int { return s.pages.Materialized() }

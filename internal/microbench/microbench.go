@@ -187,6 +187,44 @@ func NewCluster(b *testing.B) {
 	}
 }
 
+// DirFetchOr measures the Pyxis hot path on a warm directory: one reader
+// registration (the fetch-and-or a line fetch deposits) plus one lookup of
+// the node's directory cache, cycling over 1024 pages whose table chunks
+// are already materialized.
+func DirFetchOr(b *testing.B) {
+	c := cluster(4)
+	const pages = 1024
+	p := c.Fab.Topo.NewProc(1, 0)
+	for pg := 0; pg < pages; pg++ {
+		c.Dir.RegisterReader(p, pg, 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pg := i & (pages - 1)
+		c.Dir.RegisterReader(p, pg, 1)
+		c.Dir.Cached(1, pg)
+	}
+}
+
+// ResetVirtualState measures the collective reset between launches on a
+// paper-default cluster whose run touched 256 pages on every node: caches,
+// directory and fabric residue are cleared, home memory is kept.
+func ResetVirtualState(b *testing.B) {
+	cfg := argo.DefaultConfig(4)
+	c := argo.MustNewCluster(cfg)
+	xs := c.AllocF64(256 * 512)
+	c.Run(1, func(t *argo.Thread) {
+		for i := 0; i < xs.Len; i += 512 {
+			t.GetF64(xs, i)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ResetVirtualState()
+	}
+}
+
 // Fig13bNbody runs the quick n-body figure end to end — one whole
 // experiment per iteration — so the artifact also tracks the access paths'
 // end-to-end effect, not just the isolated hot loops.
@@ -225,6 +263,8 @@ func Rows() []Row {
 		{"BenchmarkDiffApply", DiffApply},
 		{"BenchmarkDiffMixedF64", DiffMixedF64},
 		{"BenchmarkNewCluster", NewCluster},
+		{"BenchmarkDirFetchOr", DirFetchOr},
+		{"BenchmarkResetVirtualState", ResetVirtualState},
 		{"BenchmarkFig13bNbody", Fig13bNbody},
 	}
 	rows := make([]Row, 0, len(specs))

@@ -9,7 +9,9 @@ package mpi
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
+	"argo/internal/chunk"
 	"argo/internal/fabric"
 	"argo/internal/sim"
 )
@@ -21,7 +23,10 @@ type World struct {
 	Size         int
 	RanksPerNode int
 
-	mail    []chan message // per (src,dst) pair
+	// mail holds one mailbox per (src,dst) pair, created on first send or
+	// receive: a run that talks along a few edges of the size² pair space
+	// pays for those edges only.
+	mail    chunk.Table[atomic.Pointer[chan message]]
 	barrier *sim.Barrier
 }
 
@@ -46,12 +51,9 @@ func NewWorld(fab *fabric.Fabric, ranksPerNode int) *World {
 		Fab:          fab,
 		Size:         size,
 		RanksPerNode: ranksPerNode,
-		mail:         make([]chan message, size*size),
 		barrier:      sim.NewBarrier(size),
 	}
-	for i := range w.mail {
-		w.mail[i] = make(chan message, 64)
-	}
+	w.mail.Init(size*size, nil)
 	return w
 }
 
@@ -71,7 +73,23 @@ func (w *World) Run(body func(r *Rank)) sim.Time {
 	return g.Run(func(i int, p *sim.Proc) { body(ranks[i]) })
 }
 
-func (w *World) box(src, dst int) chan message { return w.mail[src*w.Size+dst] }
+// mailboxCap is the number of messages a mailbox buffers before a sender
+// blocks.
+const mailboxCap = 64
+
+// box returns the (src,dst) mailbox, creating it on first use. Sender and
+// receiver may race to create it; the CAS picks one channel for both.
+func (w *World) box(src, dst int) chan message {
+	slot := w.mail.At(src*w.Size + dst)
+	if ch := slot.Load(); ch != nil {
+		return *ch
+	}
+	ch := make(chan message, mailboxCap)
+	if slot.CompareAndSwap(nil, &ch) {
+		return ch
+	}
+	return *slot.Load()
+}
 
 // sendCost charges the sender for injecting bytes toward dst and returns
 // the virtual time at which the message is available at the receiver.

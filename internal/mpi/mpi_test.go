@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -206,4 +208,95 @@ func TestIntraNodeSendIsCheaper(t *testing.T) {
 	if math.IsNaN(float64(local)) {
 		t.Fatal("unreachable")
 	}
+}
+
+// Mailboxes are created on first use: a world costs nothing per rank pair
+// up front, and an all-to-one pattern creates exactly the edges it uses.
+func TestMailboxesCreatedOnFirstUse(t *testing.T) {
+	w := world(4, 15)
+	if n := mailboxes(w); n != 0 {
+		t.Fatalf("fresh world has %d mailboxes", n)
+	}
+	w.Run(func(r *Rank) {
+		if r.ID == 0 {
+			for src := 1; src < w.Size; src++ {
+				r.Recv(src)
+			}
+			return
+		}
+		r.Send(0, []float64{float64(r.ID)})
+	})
+	if n := mailboxes(w); n != w.Size-1 {
+		t.Fatalf("%d mailboxes after a gather, want %d", n, w.Size-1)
+	}
+}
+
+// Senders and receivers racing on fresh (src,dst) pairs agree on one
+// channel per pair: every message of every pair arrives, in order (run
+// under -race).
+func TestConcurrentMailboxFirstTouch(t *testing.T) {
+	w := world(2, 8)
+	const msgs = 20
+	w.Run(func(r *Rank) {
+		// Every rank sends to every other rank and receives from all of
+		// them; receivers often reach a pair's mailbox first.
+		for k := 1; k < w.Size; k++ {
+			dst := (r.ID + k) % w.Size
+			for m := 0; m < msgs; m++ { // msgs < mailboxCap: sends never block
+				r.SendI64(dst, []int64{int64(r.ID), int64(m)})
+			}
+		}
+		for k := 1; k < w.Size; k++ {
+			src := (r.ID - k + w.Size) % w.Size
+			for m := 0; m < msgs; m++ {
+				got := r.RecvI64(src)
+				if got[0] != int64(src) || got[1] != int64(m) {
+					panic("message lost or reordered")
+				}
+			}
+		}
+	})
+	if n := mailboxes(w); n != w.Size*(w.Size-1) {
+		t.Fatalf("%d mailboxes, want %d", n, w.Size*(w.Size-1))
+	}
+}
+
+// Goroutines racing to create one mailbox all get the same channel.
+func TestBoxCreationRace(t *testing.T) {
+	w := world(2, 4)
+	const racers = 16
+	got := make([]chan message, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = w.box(3, 5)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("racer %d got a second channel for one pair", i)
+		}
+	}
+	if n := mailboxes(w); n != 1 {
+		t.Fatalf("%d mailboxes, want 1", n)
+	}
+}
+
+// mailboxes counts the (src,dst) mailboxes created so far.
+func mailboxes(w *World) int {
+	n := 0
+	w.mail.Range(func(_ int, c []atomic.Pointer[chan message]) {
+		for i := range c {
+			if c[i].Load() != nil {
+				n++
+			}
+		}
+	})
+	return n
 }

@@ -77,3 +77,31 @@ func TestArgoPrivatePagesNotInvalidated(t *testing.T) {
 			ar.Stats.SelfInvalidations, ar.Stats.ColdFetches)
 	}
 }
+
+// Input's fractional-part hash matches the math.Mod formula it replaced bit
+// for bit, over a dense low range and a sparse sweep of large indices.
+func TestInputMatchesModFormula(t *testing.T) {
+	ref := func(i int) (s, k, r, v, t float64) {
+		h := func(m float64) float64 { return math.Mod(float64(i)*m+0.123456, 1) }
+		return 50 + 100*h(0.6180339887), 50 + 100*h(0.7548776662),
+			0.01 + 0.09*h(0.2887043847), 0.10 + 0.50*h(0.4503599627),
+			0.25 + 1.75*h(0.9127652351)
+	}
+	check := func(i int) {
+		s, k, r, v, tt := Input(i)
+		ws, wk, wr, wv, wt := ref(i)
+		got := [5]float64{s, k, r, v, tt}
+		want := [5]float64{ws, wk, wr, wv, wt}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("Input(%d)[%d] = %v, want %v", i, j, got[j], want[j])
+			}
+		}
+	}
+	for i := 0; i < 1<<18; i++ {
+		check(i)
+	}
+	for i := 1 << 18; i < 1<<31; i += 7919 * 1021 {
+		check(i)
+	}
+}
